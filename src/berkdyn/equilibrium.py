@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .berkovich import BerkPoint, hyperbolic_distance, join
-from .errors import Inconclusive, ParamDomain
+from .errors import Inconclusive, ParamDomain, PrecisionExhausted
 from .measures import AtomicMeasure, pullback, pushforward
 from . import polys
 from .roots import roots_with_mult
@@ -49,13 +49,20 @@ def equilibrium_approx(R, base: BerkPoint, n: int, partial=False) -> Equilibrium
 
 
 def invariance_defect(approx: EquilibriumApprox) -> Fraction:
-    """Total-variation distance between the normalized pullback of the level-n
-    measure and an independently recomputed level-(n+1) measure (exactly 0
-    whenever both chains resolve)."""
-    R = approx.map
-    refreshed = equilibrium_approx(R, approx.base, approx.n + 1)
-    stepped = pullback(R, approx.measure).scale(Fraction(1, R.degree))
-    return stepped.total_variation_distance(refreshed.measure)
+    """Total-variation distance between the pushforward R_* mu_n of the last
+    level and the level before it, mu_(n-1).  Images are computed by
+    `image_point` and levels by the fiber search, so the two sides come from
+    independent code; the defect is exactly 0 whenever every fiber of the
+    last step resolves, and equals the mass dropped there by a partial
+    chain.  Type-I atoms known only to finite precision have images that
+    cannot equal their exact targets, so they raise PrecisionExhausted."""
+    if approx.n < 1:
+        raise ParamDomain("invariance defect needs at least one pullback level")
+    pushed = pushforward(approx.map, approx.measure)
+    for p, _ in pushed.atoms:
+        if p.is_type_i and not p.value.is_exact:
+            raise PrecisionExhausted(f"image {p!r} is known only to finite precision")
+    return pushed.total_variation_distance(approx.levels[approx.n - 1])
 
 
 def ball_mass(approx: EquilibriumApprox, z, r_log) -> Fraction:

@@ -33,18 +33,13 @@ class AtomicMeasure:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms):
-        merged = []
+        # a dict keeps the first point object and the first-occurrence order
+        merged = {}
         for pt, m in atoms:
             m = Fraction(m)
-            if m == 0:
-                continue
-            for i, (q, mq) in enumerate(merged):
-                if q == pt:
-                    merged[i] = (q, mq + m)
-                    break
-            else:
-                merged.append((pt, m))
-        self.atoms = [(p, m) for p, m in merged if m != 0]
+            if m:
+                merged[pt] = merged[pt] + m if pt in merged else m
+        self.atoms = [(p, m) for p, m in merged.items() if m]
 
     # -- constructors ---------------------------------------------------
 
@@ -80,14 +75,20 @@ class AtomicMeasure:
 
     def scale(self, c) -> "AtomicMeasure":
         c = Fraction(c)
-        return AtomicMeasure([(p, c * m) for p, m in self.atoms])
+        if not c:
+            return AtomicMeasure.zero()
+        # the atoms are already distinct and nonzero: no merge needed
+        out = AtomicMeasure.__new__(AtomicMeasure)
+        out.atoms = [(p, c * m) for p, m in self.atoms]
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, AtomicMeasure):
             return NotImplemented
         if len(self.atoms) != len(other.atoms):
             return False
-        return all(other.mass_at(p) == m for p, m in self.atoms)
+        theirs = dict(other.atoms)
+        return all(theirs.get(p) == m for p, m in self.atoms)
 
     def __repr__(self):
         inner = " + ".join(f"{m}*[{p!r}]" for p, m in self.atoms)

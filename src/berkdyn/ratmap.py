@@ -52,6 +52,21 @@ class RationalMap:
         self.num = num
         self.den = den
         self.backend = den[-1].backend
+        # one-entry slots: (center, (num, den) recentered there) and
+        # (type-II point, its image)
+        self._recenter_slot = None
+        self._image_slot = None
+
+    def _recentered(self, a: FieldElement):
+        """(num, den) recentered at a.  A fiber search asks for one center
+        several times in a row, so the last center and its pair are kept;
+        the lists are shared between callers and must never be mutated."""
+        slot = self._recenter_slot
+        if slot is not None and _same(slot[0], a):
+            return slot[1]
+        pair = (polys.recenter(self.num, a), polys.recenter(self.den, a))
+        self._recenter_slot = (a, pair)
+        return pair
 
     @property
     def degree(self) -> int:
@@ -143,9 +158,18 @@ class RationalMap:
             return self.source_inverted().eval_type1(self.backend.zero())
         if S.is_type_i:
             return self.eval_type1(S.value)
-        a, v = S.value, S.logr
-        P_a = polys.recenter(self.num, a) if self.num else []
-        Q_a = polys.recenter(self.den, a)
+        # the fiber search asks for the local degree of each ball whose image
+        # it has just matched, and the local degree needs that image again
+        slot = self._image_slot
+        if slot is not None and _same(slot[0], S):
+            return slot[1]
+        T = self._ball_image(S.value, S.logr)
+        self._image_slot = (S, T)
+        return T
+
+    def _ball_image(self, a, v) -> BerkPoint:
+        """The image of the ball B(a, v)."""
+        P_a, Q_a = self._recentered(a)
         if self._ball_contains_pole(Q_a, v):
             return self._pole_ball_image(P_a, Q_a, v, a)
         b = (P_a[0] if P_a else self.backend.zero()) / Q_a[0]
@@ -234,8 +258,7 @@ class RationalMap:
         a, v = S.value, S.logr
         T = self.image_point(S)
         b = T.value
-        P_a = polys.recenter(self.num, a) if self.num else []
-        Q_a = polys.recenter(self.den, a)
+        P_a, Q_a = self._recentered(a)
         N = polys.sub(P_a, polys.scale(Q_a, b))
         res_n = _ball_residue_poly(N, v)
         res_q = _ball_residue_poly(Q_a, v)
@@ -253,10 +276,16 @@ class RationalMap:
         """The fiber over T with local multiplicities: [(point, mult)], with
         sum of mults == degree unless partial=True and the fiber needs an
         unrepresentable extension."""
-        if T.is_type_ii:
-            pairs = self._preimages_type2(T, partial)
-        else:
-            pairs = self._preimages_type1(T, partial)
+        try:
+            if T.is_type_ii:
+                pairs = self._preimages_type2(T, partial)
+            else:
+                pairs = self._preimages_type1(T, partial)
+        finally:
+            # the slots serve one search and are not kept past it: a map
+            # holds no data from its searches, and a repeated search redoes
+            # its own work
+            self._recenter_slot = self._image_slot = None
         if not partial and sum(m for _, m in pairs) != self.degree:
             raise ExtensionBound(
                 "fiber is not fully representable: found multiplicity "
@@ -343,17 +372,15 @@ class RationalMap:
     def _candidate_radii(self, z, u, lo, hi):
         """Radii t for which B(z, t) could map onto the target diameter u."""
         bk = self.backend
-        qz = polys.evaluate(self.den, z)
-        pz = polys.evaluate(self.num, z) if self.num else bk.zero()
+        P_z, Q_z = self._recentered(z)
+        # the constant terms are the values at z (Horner's rule, step by step)
+        qz = Q_z[0]
+        pz = P_z[0] if P_z else bk.zero()
         if qz.is_zero_to_precision() and qz.is_exact:
             # pole at the candidate center: work through 1/R
-            P_z = polys.recenter(self.num, z)
-            Q_z = polys.recenter(self.den, z)
             return polys.solve_seminorm_ratio(Q_z, P_z, -u, lo, hi)
         # clear denominators: qz*P - pz*Q vanishes at z, and its Gauss
         # valuation is val(qz) above that of P - (pz/qz)*Q
-        P_z = polys.recenter(self.num, z) if self.num else []
-        Q_z = polys.recenter(self.den, z)
         N = polys.sub(polys.scale(P_z, qz), polys.scale(Q_z, pz))
         N = [bk.zero()] + N[1:]
         return polys.solve_seminorm_ratio(N, Q_z, u + qz.valuation(), lo, hi)
@@ -413,6 +440,12 @@ class RationalMap:
                     if pt not in out:
                         out.append(pt)
         return out
+
+
+def _same(x, y) -> bool:
+    """Equal, and on the same backend object: backend equality ignores the
+    precision budget, which the arithmetic depends on."""
+    return x.backend is y.backend and x == y
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from berkdyn import Backend, EQUICHARP, Inconclusive, PADIC
+from berkdyn import Backend, EQUICHARP, Inconclusive, PADIC, ParamDomain, PrecisionExhausted
 from berkdyn.berkovich import BerkPoint
 from berkdyn.equilibrium import (
     EquilibriumApprox,
@@ -85,6 +85,44 @@ class TestApprox:
             (RationalMap.parse("(z^2+1)/z", B3), BerkPoint.canonical(B3)),
         ]:
             assert invariance_defect(equilibrium_approx(R, base, 2)) == 0
+
+    def test_invariance_defect_sees_moved_mass(self):
+        # move 1/16 between two level-2 atoms whose images differ: R_* of
+        # the perturbed level misses mu_1 by 1/16 at each of the two images
+        R = R0()
+        approx = equilibrium_approx(R, BerkPoint.canonical(B3), 2)
+        (a, ma), (b, mb) = next(
+            (x, y)
+            for i, x in enumerate(approx.measure.atoms)
+            for y in approx.measure.atoms[i + 1 :]
+            if R.image_point(x[0]) != R.image_point(y[0])
+        )
+        eps = F(1, 16)
+        moved = AtomicMeasure([(a, -eps), (b, eps)])
+        levels = approx.levels[:2] + [approx.measure + moved]
+        perturbed = EquilibriumApprox(R, approx.base, 2, levels)
+        assert invariance_defect(perturbed) == 2 * eps
+
+    def test_invariance_defect_needs_a_level(self):
+        with pytest.raises(ParamDomain):
+            invariance_defect(equilibrium_approx(R0(), BerkPoint.canonical(B3), 0))
+
+    def test_invariance_defect_reports_dropped_mass(self):
+        # fibers of these maps leave the tower in part, so partial chains
+        # lose mass; the defect of the last step is exactly that loss
+        for num, den, n in [([8], [9, -8, -6], 1), ([-3], [-1, -7, -5, 1], 2)]:
+            R = RationalMap.from_rationals(B3, num, den)
+            approx = equilibrium_approx(R, BerkPoint.canonical(B3), n, partial=True)
+            dropped = approx.levels[n - 1].total_mass - approx.measure.total_mass
+            assert dropped > 0
+            assert invariance_defect(approx) == dropped
+
+    def test_invariance_defect_rejects_approximate_type_i_atoms(self):
+        # the roots of z^2 = 7 in Z_3 are known only to the working precision
+        R = RationalMap.parse("z^2 - 7", B3)
+        approx = equilibrium_approx(R, BerkPoint.type_i(B3.zero()), 1)
+        with pytest.raises(PrecisionExhausted):
+            invariance_defect(approx)
 
 
 class TestBallMass:

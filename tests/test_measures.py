@@ -58,6 +58,51 @@ class TestAtomicMeasure:
         assert rho.total_mass == 1
         assert rho.mass_at(T) == 0
 
+    def test_merge_keeps_first_occurrence(self):
+        S = BerkPoint.canonical(B2)
+        T = BerkPoint.type_ii(B2.zero(), 1)
+        U = BerkPoint.type_ii(B2.one(), 2)
+        rho = AtomicMeasure([(T, 1), (S, 2), (U, 3), (S, 4), (T, 5)])
+        assert rho.atoms == [(T, 6), (S, 6), (U, 3)]
+        assert [p for p, _ in rho.atoms][0] is T
+
+    def test_merge_equal_points_as_distinct_objects(self):
+        first = BerkPoint.type_ii(B3.from_int(1), 1)
+        second = BerkPoint.type_ii(B3.from_int(4), 1)  # the same ball
+        assert first is not second and first == second
+        rho = AtomicMeasure([(first, F(1, 3)), (second, F(2, 3))])
+        assert len(rho.atoms) == 1
+        assert rho.atoms[0][0] is first and rho.atoms[0][1] == 1
+
+    def test_merge_drops_cancelled_masses(self):
+        S = BerkPoint.canonical(B2)
+        T = BerkPoint.type_ii(B2.zero(), 1)
+        U = BerkPoint.type_ii(B2.one(), 2)
+        assert AtomicMeasure([(S, 2), (T, 1), (S, -2), (U, 0)]).atoms == [(T, 1)]
+        # an atom that cancels and comes back keeps its first position
+        rho = AtomicMeasure([(S, 1), (T, 1), (S, -1), (S, F(1, 2))])
+        assert rho.atoms == [(S, F(1, 2)), (T, 1)]
+
+    def test_scale(self):
+        S = BerkPoint.canonical(B2)
+        T = BerkPoint.type_ii(B2.zero(), 1)
+        U = BerkPoint.type_ii(B2.one(), 2)
+        rho = AtomicMeasure([(U, 1), (S, F(1, 2)), (T, -2)])
+        assert rho.scale(0) == AtomicMeasure.zero()
+        assert rho.scale(0).atoms == []
+        assert rho.scale(F(-2, 3)).atoms == [(U, F(-2, 3)), (S, F(-1, 3)), (T, F(4, 3))]
+        assert all(p is q for (p, _), (q, _) in zip(rho.scale(5).atoms, rho.atoms))
+
+    def test_equality_ignores_order(self):
+        S = BerkPoint.canonical(B2)
+        T = BerkPoint.type_ii(B2.zero(), 1)
+        U = BerkPoint.type_ii(B2.one(), 2)
+        a = AtomicMeasure([(S, 1), (T, 2)])
+        assert a == AtomicMeasure([(T, 2), (S, 1)])
+        assert a != AtomicMeasure([(S, 1), (T, 3)])
+        assert a != AtomicMeasure([(S, 1), (U, 2)])
+        assert a != AtomicMeasure([(S, 1), (T, 2), (U, 1)])
+
     def test_algebra(self):
         S = BerkPoint.canonical(B2)
         T = BerkPoint.type_ii(B2.zero(), 1)

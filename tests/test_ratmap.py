@@ -19,9 +19,11 @@ from berkdyn import (
     Backend,
     DivisionByZero,
     EQUICHARP,
+    ExtensionBound,
     INF,
     PADIC,
     ParamDomain,
+    PrecisionExhausted,
 )
 from berkdyn import polys
 from berkdyn.berkovich import BerkPoint, hyperbolic_distance, seminorm_eval
@@ -343,3 +345,64 @@ class TestExceptional:
 
     def test_generic_map_has_none(self):
         assert RationalMap.parse("(z^2+1)/(z+3)", B3).exceptional_points() == []
+
+
+class TestRepeatedQueries:
+    """One map queried again and again answers exactly as fresh maps do."""
+
+    R0 = "(z^5 - 243)/z^2"
+
+    def test_alternating_centers_match_fresh_maps(self):
+        R = RationalMap.parse(self.R0, B3)
+        can = BerkPoint.canonical(B3)
+        S = BerkPoint.type_ii(B3.zero(), F(1, 2))
+        near_one = BerkPoint.type_ii(B3.one(), 1)
+        near_minus_one = BerkPoint.type_ii(B3.from_int(-1), F(1, 2))
+        queries = [
+            ("image_point", S),
+            ("local_degree", near_one),
+            ("local_degree", S),
+            ("preimages", near_minus_one),
+            ("preimages", can),
+            ("image_point", near_minus_one),
+            ("image_point", S),
+            ("local_degree", near_minus_one),
+            ("preimages", can),
+            ("image_point", near_one),
+            ("local_degree", S),
+        ]
+        for name, point in queries:
+            fresh = RationalMap.parse(self.R0, B3)
+            assert getattr(R, name)(point) == getattr(fresh, name)(point)
+            if name == "preimages":
+                # a failed search in between must not leave a stale answer
+                with pytest.raises(ExtensionBound):
+                    R.preimages(near_one)
+        # the README closed forms, asked once more of the same map
+        assert R.image_point(S) == BerkPoint.type_ii(B3.zero(), F(3, 2))
+        assert R.local_degree(S) == 3
+        assert R.preimages(can) == [
+            (BerkPoint.type_ii(B3.zero(), 0), 3),
+            (BerkPoint.type_ii(B3.zero(), F(5, 2)), 2),
+        ]
+
+    def test_fiber_multiplicities_are_fresh_local_degrees(self):
+        # criterion-06-style maps over p=3; fibers that do not resolve over
+        # this tower are skipped by their typed error
+        rng = random.Random(6001)
+        resolved = 0
+        for _ in range(30):
+            num = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            den = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            if not any(num) or not any(den):
+                continue
+            T = BerkPoint.type_ii(B3.from_int(rng.randint(-6, 6)), F(rng.randint(-2, 4)))
+            R = RationalMap.from_rationals(B3, num, den)
+            try:
+                fiber = R.preimages(T)
+            except (ExtensionBound, PrecisionExhausted):
+                continue
+            resolved += 1
+            for S, m in fiber:
+                assert m == RationalMap.from_rationals(B3, num, den).local_degree(S)
+        assert resolved >= 10
