@@ -4,7 +4,6 @@ from .errors import (
     BerkdynError,
     DivisionByZero,
     ExtensionBound,
-    FractionalOffsetMismatch,
     IncompatibleBackends,
     Inconclusive,
     InfinityOperand,
@@ -13,9 +12,7 @@ from .errors import (
     NonzeroMass,
     NotBernoulli,
     ParamDomain,
-    PoleAtCenter,
     PrecisionExhausted,
-    ProbeFailure,
     TypeIAtom,
     TypeIOperand,
 )
@@ -46,7 +43,6 @@ __all__ = [
     "BerkdynError",
     "DivisionByZero",
     "ExtensionBound",
-    "FractionalOffsetMismatch",
     "IncompatibleBackends",
     "Inconclusive",
     "InfinityOperand",
@@ -55,9 +51,7 @@ __all__ = [
     "NonzeroMass",
     "NotBernoulli",
     "ParamDomain",
-    "PoleAtCenter",
     "PrecisionExhausted",
-    "ProbeFailure",
     "TypeIAtom",
     "TypeIOperand",
 ]

@@ -13,10 +13,6 @@ class IncompatibleBackends(BerkdynError):
     pass
 
 
-class FractionalOffsetMismatch(BerkdynError):
-    """A p-adic combination would require a ramified extension we refuse to build."""
-
-
 class NegativeValuation(BerkdynError):
     pass
 
@@ -36,14 +32,6 @@ class InfinityOperand(BerkdynError):
 
 class TypeIOperand(BerkdynError):
     pass
-
-
-class PoleAtCenter(BerkdynError):
-    pass
-
-
-class ProbeFailure(BerkdynError):
-    """Post-hoc verification of a computed point failed; this is a defect."""
 
 
 class NonzeroMass(BerkdynError):

@@ -1,17 +1,18 @@
 """Valued-field backends with exact rational valuations.
 
 Three desk-scale sub-models of a complete algebraically closed
-non-archimedean field:
+non-archimedean field with value group Q, one per backend kind:
 
-* PADIC(p)    — the tower Q(p^(1/e)) for varying e, i.e. polynomials in
-                x = p^(1/e) modulo x^e - p with Fraction coefficients.
-                Arithmetic is exact; inexact elements (Newton-lifted roots)
-                carry a precision order.
-* EQUICHAR0   — Puiseux polynomials in t over Q.
-* EQUICHARP   — Puiseux polynomials in t over F_{p^k}.
+* PADIC(p)    — the tower Q(p^(1/e)) for varying e, with pi = p.
+* EQUICHAR0   — Puiseux polynomials over Q in pi = t.
+* EQUICHARP   — Puiseux polynomials over F_{p^k} in pi = t.
 
-The value group is Q throughout.  valuation() of the zero element is +inf
-(math.inf mixes fine with Fraction in comparisons).
+All three share one term layout: an element is a finite sum of terms
+c * pi^(i/e), stored as a dict {(i, e): c} keyed by reduced integer pairs
+with e >= 1.  Coefficients are Fractions (PADIC, EQUICHAR0) or residue
+elements (EQUICHARP).  Arithmetic is exact; inexact elements (Newton-lifted
+roots, truncated inverses) carry a precision order.  valuation() of the zero
+element is +inf (math.inf mixes fine with Fraction in comparisons).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
-    FractionalOffsetMismatch,  # noqa: F401  (part of the documented surface)
     IncompatibleBackends,
     NegativeValuation,
     PrecisionExhausted,
@@ -69,19 +69,16 @@ class Backend:
         return self.p if self.kind == EQUICHARP else 0
 
     def residue_field(self) -> rs.ResidueField:
-        if self.kind == EQUICHAR0:
-            return rs.ResidueField(0)
-        if self.kind == PADIC:
-            return rs.ResidueField(self.p, 1)
-        return rs.ResidueField(self.p, self.k)
+        return rs.ResidueField(self.residue_char, self.k)
+
+    def _key(self):
+        return (self.kind, self.p, self.k, self.precision)
 
     def __eq__(self, other):
-        return isinstance(other, Backend) and (
-            self.kind, self.p, self.k
-        ) == (other.kind, other.p, other.k)
+        return isinstance(other, Backend) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.kind, self.p, self.k))
+        return hash(self._key())
 
     def __repr__(self):
         if self.kind == PADIC:
@@ -92,6 +89,13 @@ class Backend:
 
     # -- element constructors -----------------------------------------
 
+    def _coeff(self, q):
+        """The rational q as a term coefficient."""
+        q = Fraction(q)
+        if self.kind == EQUICHARP:
+            return self.residue_field().from_fraction(q)
+        return q
+
     def zero(self):
         return FieldElement(self, {}, None)
 
@@ -99,17 +103,7 @@ class Backend:
         return self.from_rational(1)
 
     def from_rational(self, q) -> "FieldElement":
-        q = Fraction(q)
-        if q == 0:
-            return self.zero()
-        if self.kind == PADIC:
-            return FieldElement(self, {(0, 1): q}, None)
-        if self.kind == EQUICHAR0:
-            return FieldElement(self, {Fraction(0): q}, None)
-        c = self.residue_field().from_fraction(q)
-        if c.is_zero():
-            return self.zero()
-        return FieldElement(self, {Fraction(0): c}, None)
+        return FieldElement(self, {(0, 1): self._coeff(q)}, None)
 
     def from_int(self, n):
         return self.from_rational(Fraction(n))
@@ -117,23 +111,19 @@ class Backend:
     def uniformizer_pow(self, q) -> "FieldElement":
         """Exact element of valuation q (q any rational)."""
         q = Fraction(q)
+        i, e = q.numerator, q.denominator
         if self.kind == PADIC:
-            n = q.numerator // q.denominator
-            frac = q - n
-            e = frac.denominator
-            i = frac.numerator  # 0 <= i < e
+            # whole powers of p live in the coefficient: 0 <= i < e
+            n, i = divmod(i, e)
             return FieldElement(self, {(i, e): Fraction(self.p) ** n}, None)
-        if self.kind == EQUICHAR0:
-            return FieldElement(self, {q: Fraction(1)}, None)
-        return FieldElement(self, {q: self.residue_field().one()}, None)
+        return FieldElement(self, {(i, e): self._coeff(1)}, None)
 
     def from_term(self, q, coeff) -> "FieldElement":
         """coeff * uniformizer^q with coeff a rational (PADIC/EQUICHAR0) or
         ResidueElement (EQUICHARP)."""
         if self.kind == EQUICHARP and isinstance(coeff, rs.ResidueElement):
-            if coeff.is_zero():
-                return self.zero()
-            return FieldElement(self, {Fraction(q): coeff}, None)
+            q = Fraction(q)
+            return FieldElement(self, {(q.numerator, q.denominator): coeff}, None)
         return self.from_rational(coeff) * self.uniformizer_pow(q)
 
     def parse_literal(self, text: str) -> "FieldElement":
@@ -193,12 +183,11 @@ def _vp(q: Fraction, p: int):
 class FieldElement:
     """Immutable element of a Backend.
 
-    PADIC terms: dict {(i, e): Fraction r} meaning r * p^(i/e), with
-    0 <= i < e and gcd(i, e) reduced; fractional-power parts with different
-    denominators coexist (they live in the common tower Q(p^(1/lcm))).
-
-    Series terms: dict {Fraction q: coeff} meaning coeff * t^q, coeff a
-    Fraction (EQUICHAR0) or ResidueElement (EQUICHARP).
+    terms: dict {(i, e): c} meaning the sum of c * pi^(i/e), with e >= 1 and
+    (i, e) reduced.  Terms with different denominators coexist: they live in
+    the common extension by pi^(1/lcm).  PADIC keeps 0 <= i < e and carries
+    whole powers of p in its rational coefficients, so a term's valuation is
+    i/e + v_p(c); series terms have valuation i/e.
 
     prec: None for exact elements, else the element is only known modulo
     valuation >= prec.
@@ -209,29 +198,17 @@ class FieldElement:
     def __init__(self, backend, terms, prec):
         self.backend = backend
         self._val = None
-        # normalize
-        if backend.kind == PADIC:
-            norm = {}
-            for (i, e), r in terms.items():
-                if not r:
-                    continue
-                g = gcd(i, e) if i else e
+        norm = {}
+        for key, c in terms.items():
+            if not c:
+                continue
+            i, e = key
+            g = gcd(i, e)
+            if g != 1:
                 key = (i // g, e // g)
-                prev = norm.get(key)
-                norm[key] = r if prev is None else prev + r
-            norm = {k: v for k, v in norm.items() if v}
-        else:
-            norm = {}
-            for q, c in terms.items():
-                if backend.kind == EQUICHAR0 and not c:
-                    continue
-                prev = norm.get(q)
-                norm[q] = c if prev is None else prev + c
-            norm = {
-                q: c
-                for q, c in norm.items()
-                if (c if backend.kind == EQUICHAR0 else not c.is_zero())
-            }
+            prev = norm.get(key)
+            norm[key] = c if prev is None else prev + c
+        norm = {k: c for k, c in norm.items() if c}
         if prec is not None:
             norm = {k: v for k, v in norm.items() if _term_val(backend, k, v) < prec}
         # cap the number of tracked terms at the backend precision
@@ -293,23 +270,14 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        prec = _min_prec(self.prec, other.prec)
-        if self.backend.kind == PADIC:
-            terms = dict(self.terms)
-            for k, r in other.terms.items():
-                prev = terms.get(k)
-                terms[k] = r if prev is None else prev + r
-            return FieldElement(self.backend, terms, prec)
         a, b = self, other
         if self.backend.kind == EQUICHARP:
-            a, b = _align_cfields(self, other)
+            a, b = _align_cfields(a, b)
         terms = dict(a.terms)
-        for q, c in b.terms.items():
-            if q in terms:
-                terms[q] = terms[q] + c
-            else:
-                terms[q] = c
-        return FieldElement(self.backend, terms, prec)
+        for k, c in b.terms.items():
+            prev = terms.get(k)
+            terms[k] = c if prev is None else prev + c
+        return FieldElement(self.backend, terms, _min_prec(self.prec, other.prec))
 
     def __neg__(self):
         return FieldElement(
@@ -325,32 +293,22 @@ class FieldElement:
         pb = _shifted_prec(other.prec, self.valuation_lower_bound())
         prec = _min_prec(pa, pb)
         bk = self.backend
-        if bk.kind == PADIC:
-            terms = {}
-            for (i1, e1), r1 in self.terms.items():
-                for (i2, e2), r2 in other.terms.items():
-                    e = lcm(e1, e2)
-                    i = i1 * (e // e1) + i2 * (e // e2)
-                    carry, i = divmod(i, e)
-                    r = r1 * r2
-                    if carry:
-                        r = r * bk.p**carry
-                    key = (i, e)
-                    prev = terms.get(key)
-                    terms[key] = r if prev is None else prev + r
-            return FieldElement(bk, terms, prec)
         a, b = self, other
         if bk.kind == EQUICHARP:
-            a, b = _align_cfields(self, other)
+            a, b = _align_cfields(a, b)
+        p = bk.p if bk.kind == PADIC else None
         terms = {}
-        for q1, c1 in a.terms.items():
-            for q2, c2 in b.terms.items():
-                q = q1 + q2
+        for (i1, e1), c1 in a.terms.items():
+            for (i2, e2), c2 in b.terms.items():
+                e = lcm(e1, e2)
+                i = i1 * (e // e1) + i2 * (e // e2)
                 c = c1 * c2
-                if q in terms:
-                    terms[q] = terms[q] + c
-                else:
-                    terms[q] = c
+                if p and i >= e:  # PADIC keeps 0 <= i < e: carry one p into c
+                    c = c * p
+                    i -= e
+                key = (i, e)
+                prev = terms.get(key)
+                terms[key] = c if prev is None else prev + c
         return FieldElement(bk, terms, prec)
 
     def inverse(self):
@@ -390,13 +348,9 @@ class FieldElement:
                 err *= 2
             out = x * lead_inv
             return FieldElement(bk, out.terms, -v + budget)
-        # series: c*t^v * (1 + u) with val(u) > 0
-        lead_q = min(self.terms)
-        lead_c = self.terms[lead_q]
-        lead_inv = (
-            1 / lead_c if bk.kind == EQUICHAR0 else lead_c.inverse()
-        )
-        lead = bk.from_term(-lead_q, lead_inv)
+        # series: c*t^v * (1 + u) with val(u) > 0; the lead term is keyed by v
+        lead_c = self.terms[v.numerator, v.denominator]
+        lead = bk.from_term(-v, 1 / lead_c if bk.kind == EQUICHAR0 else lead_c.inverse())
         u = self * lead - bk.one()  # val(u) > 0
         budget = rel if rel is not None else Fraction(bk.precision)
         acc = bk.one()
@@ -433,32 +387,21 @@ class FieldElement:
     # -- reduction & truncation -----------------------------------------
 
     def reduce(self) -> rs.ResidueElement:
-        """Image in the residue field; requires valuation >= 0."""
-        if not self.terms:
-            if self.prec is not None and self.prec <= 0:
-                raise PrecisionExhausted("residue not determined at this precision")
-            return self.backend.residue_field().zero()
-        if self.valuation() < 0:
+        """Image in the residue field; requires valuation >= 0.
+
+        Terms off the key (0, 1) have positive valuation and reduce to zero;
+        an EQUICHARP coefficient may lie in an extension of the residue field
+        and is returned as it is."""
+        if self.terms and self.valuation() < 0:
             raise NegativeValuation(f"valuation {self.valuation()} < 0")
         if self.prec is not None and self.prec <= 0:
             raise PrecisionExhausted("residue not determined at this precision")
-        bk = self.backend
-        if bk.kind == PADIC:
-            # fractional-offset terms have non-integer positive valuation and
-            # reduce to zero; only the (0,1) slot can contribute
-            r = self.terms.get((0, 1), Fraction(0))
-            return bk.residue_field().from_fraction(r)
-        c = self.terms.get(Fraction(0))
+        c = self.terms.get((0, 1))
         if c is None:
-            return bk.residue_field().zero()
-        if bk.kind == EQUICHAR0:
-            return bk.residue_field().from_fraction(c)
-        rf = bk.residue_field()
-        if c.field == rf:
+            return self.backend.residue_field().zero()
+        if isinstance(c, rs.ResidueElement):
             return c
-        if c.field.k <= bk.k_max and c.field.k % rf.k == 0:
-            return c  # element of an extension residue field; return as-is
-        return c
+        return self.backend.residue_field().from_fraction(c)
 
     def truncate_below(self, v) -> "FieldElement":
         """The canonical truncation: the part of the expansion with valuation < v.
@@ -473,7 +416,8 @@ class FieldElement:
                 f"cannot truncate below {v}: element only known to precision {self.prec}"
             )
         if bk.kind != PADIC:
-            terms = {q: c for q, c in self.terms.items() if q < v}
+            n, d = v.numerator, v.denominator
+            terms = {(i, e): c for (i, e), c in self.terms.items() if i * d < n * e}
             return FieldElement(bk, terms, None)
         terms = {}
         for (i, e), r in self.terms.items():
@@ -495,25 +439,16 @@ class FieldElement:
 
     def as_rational(self) -> Fraction:
         """The element as a rational, when it is one (PADIC/EQUICHAR0)."""
-        bk = self.backend
-        if not self.terms:
-            return Fraction(0)
-        if bk.kind == PADIC:
-            if set(self.terms) == {(0, 1)}:
-                return self.terms[(0, 1)]
-        elif bk.kind == EQUICHAR0:
-            if set(self.terms) == {Fraction(0)}:
-                return self.terms[Fraction(0)]
+        if set(self.terms) <= {(0, 1)}:
+            c = self.terms.get((0, 1), Fraction(0))
+            if isinstance(c, Fraction):
+                return c
         raise ValueError("element is not a plain rational")
 
     # -- equality, hashing, display --------------------------------------
 
     def _key(self):
-        if self.backend.kind == PADIC:
-            items = tuple(sorted(self.terms.items()))
-        else:
-            items = tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))
-        return (self.backend, items, self.prec)
+        return (self.backend, tuple(sorted(self.terms.items())), self.prec)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -523,28 +458,15 @@ class FieldElement:
     def __hash__(self):
         return hash(self._key())
 
+    def _sorted_terms(self):
+        """(exponent, coefficient) pairs by increasing exponent."""
+        return sorted((Fraction(i, e), c) for (i, e), c in self.terms.items())
+
     def __repr__(self):
         bk = self.backend
-        if not self.terms:
-            body = "0"
-        elif bk.kind == PADIC:
-            parts = []
-            for (i, e), r in sorted(
-                self.terms.items(), key=lambda kv: Fraction(kv[0][0], kv[0][1])
-            ):
-                if (i, e) == (0, 1):
-                    parts.append(str(r))
-                else:
-                    parts.append(f"({r})*{bk.p}^({i}/{e})")
-            body = " + ".join(parts)
-        else:
-            parts = []
-            for q, c in sorted(self.terms.items()):
-                if q == 0:
-                    parts.append(str(c))
-                else:
-                    parts.append(f"({c})*t^({q})")
-            body = " + ".join(parts)
+        pi = bk.p if bk.kind == PADIC else "t"
+        parts = [str(c) if q == 0 else f"({c})*{pi}^({q})" for q, c in self._sorted_terms()]
+        body = " + ".join(parts) if parts else "0"
         if self.prec is not None:
             body += f" + O(pi^{self.prec})"
         return body
@@ -555,27 +477,19 @@ class FieldElement:
         if bk.kind == PADIC and set(self.terms) <= {(0, 1)}:
             return str(self.terms.get((0, 1), Fraction(0)))
         pairs = []
-        if bk.kind == PADIC:
-            for (i, e), r in sorted(
-                self.terms.items(), key=lambda kv: Fraction(kv[0][0], kv[0][1])
-            ):
-                pairs.append(f"({Fraction(i, e)},{r})")
-        else:
-            for q, c in sorted(self.terms.items()):
-                if bk.kind == EQUICHARP:
-                    if c.field.k != 1:
-                        raise ValueError("no literal for extension-field coefficients")
-                    c = c.value[0]
-                pairs.append(f"({q},{c})")
+        for q, c in self._sorted_terms():
+            if bk.kind == EQUICHARP and c.field.k != 1:
+                raise ValueError("no literal for extension-field coefficients")
+            pairs.append(f"({q},{c})")
         return "[" + ",".join(pairs) + "]"
 
 
 def _term_val(backend, key, coeff):
+    i, e = key
     if backend.kind == PADIC:
-        i, e = key
         v = _vp(coeff, backend.p)
         return v + Fraction(i, e) if i else Fraction(v)
-    return key
+    return Fraction(i, e)
 
 
 def _min_prec(a, b):
@@ -708,10 +622,6 @@ def valuation(x: FieldElement):
     return x.valuation()
 
 
-def reduce_element(x: FieldElement) -> rs.ResidueElement:
-    return x.reduce()
-
-
 def uniformizer_pow(b: Backend, q) -> FieldElement:
     return b.uniformizer_pow(q)
 
@@ -771,13 +681,6 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
             f"residue roots require an extension beyond k_max={k_max}"
         )
     return found
-
-
-def residue_roots_or_empty(coeffs, k_max=DEFAULT_KMAX):
-    try:
-        return residue_roots(coeffs, k_max=k_max)
-    except ExtensionBound:
-        return []
 
 
 def _rational_roots(coeffs):

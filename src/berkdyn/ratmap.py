@@ -18,14 +18,20 @@ from .errors import (
     DivisionByZero,
     ExtensionBound,
     ParamDomain,
-    PoleAtCenter,
     PrecisionExhausted,
 )
-from .berkovich import BerkPoint, seminorm_eval
-from .fields import Backend, EQUICHARP, FieldElement, INF, PADIC
+from .berkovich import BerkPoint
+from .fields import Backend, EQUICHARP, FieldElement, INF
 from . import polys
 from . import residue as rs
-from .roots import lift_residue, residue_roots, roots_with_mult, segment_residue_poly
+from .roots import (
+    ball_residue_poly,
+    common_residue_field,
+    lift_residue,
+    residue_roots,
+    roots_with_mult,
+    segment_residue_poly,
+)
 
 _MAX_CENTER_STEPS = 400
 
@@ -62,7 +68,7 @@ class RationalMap:
         several times in a row, so the last center and its pair are kept;
         the lists are shared between callers and must never be mutated."""
         slot = self._recenter_slot
-        if slot is not None and _same(slot[0], a):
+        if slot is not None and slot[0] == a:
             return slot[1]
         pair = (polys.recenter(self.num, a), polys.recenter(self.den, a))
         self._recenter_slot = (a, pair)
@@ -161,7 +167,7 @@ class RationalMap:
         # the fiber search asks for the local degree of each ball whose image
         # it has just matched, and the local degree needs that image again
         slot = self._image_slot
-        if slot is not None and _same(slot[0], S):
+        if slot is not None and slot[0] == S:
             return slot[1]
         T = self._ball_image(S.value, S.logr)
         self._image_slot = (S, T)
@@ -196,14 +202,14 @@ class RationalMap:
         maximizing the image valuation phi(w) = S(P - w*Q) - S(Q)."""
         bk = self.backend
         denom_val = polys.gauss_valuation(Q_a, v)
-        res_q = _ball_residue_poly(Q_a, v)
+        res_q = ball_residue_poly(Q_a, v)
         w = bk.zero()
         for _ in range(_MAX_CENTER_STEPS):
             A = polys.sub(P_a, polys.scale(Q_a, w))
             if polys.trim(A) == []:
                 raise DivisionByZero("map is constant")
             phi = polys.gauss_valuation(A, v) - denom_val
-            res_a = _ball_residue_poly(A, v)
+            res_a = ball_residue_poly(A, v)
             d = _proportionality(res_a, res_q)
             if d is None:
                 return BerkPoint.type_ii(w, phi)
@@ -260,8 +266,8 @@ class RationalMap:
         b = T.value
         P_a, Q_a = self._recentered(a)
         N = polys.sub(P_a, polys.scale(Q_a, b))
-        res_n = _ball_residue_poly(N, v)
-        res_q = _ball_residue_poly(Q_a, v)
+        res_n = ball_residue_poly(N, v)
+        res_q = ball_residue_poly(Q_a, v)
         res_n, res_q = _align_res_pair(res_n, res_q)
         field = res_n[0].field
         g = rs.rpoly_gcd(res_n, res_q, field)
@@ -442,61 +448,8 @@ class RationalMap:
         return out
 
 
-def _same(x, y) -> bool:
-    """Equal, and on the same backend object: backend equality ignores the
-    precision budget, which the arithmetic depends on."""
-    return x.backend is y.backend and x == y
-
-
 # ---------------------------------------------------------------------------
 # residue helpers for ball-level computations
-
-
-def _ball_residue_poly(C, v):
-    """Residue polynomial of C along the ball of log-radius v (centered where
-    C was recentered): coefficient i reduces C_i * pi^(i*v - level)."""
-    C = list(C)
-    level = polys.gauss_valuation(C, v)
-    if level == INF:
-        return []
-    bk = None
-    for c in C:
-        bk = c.backend
-        break
-    res = []
-    for i, c in enumerate(C):
-        if c.is_zero_to_precision():
-            if not c.is_exact and c.prec + i * v <= level:
-                raise PrecisionExhausted("ball residue coefficient unknown")
-            res.append(None)
-            continue
-        if c.valuation() + i * v > level:
-            res.append(None)
-        else:
-            res.append((c * bk.uniformizer_pow(i * v - level)).reduce())
-    present = [r for r in res if r is not None]
-    field = _common_res_field(present)
-    out = []
-    for r in res:
-        if r is None:
-            out.append(field.zero())
-        elif r.field == field or r.field.is_rational:
-            out.append(r)
-        else:
-            out.append(rs.embed_element(r, field))
-    return rs.rpoly_trim(out)
-
-
-def _common_res_field(elts):
-    from math import lcm
-
-    fields = [e.field for e in elts if not e.field.is_rational]
-    if not fields:
-        return elts[0].field
-    k = 1
-    for f in fields:
-        k = lcm(k, f.k)
-    return rs.ResidueField(fields[0].p, k)
 
 
 def _align_res_pair(a, b):
@@ -504,7 +457,7 @@ def _align_res_pair(a, b):
     both = [e for e in list(a) + list(b) if not e.field.is_rational]
     if not both:
         return list(a), list(b)
-    field = _common_res_field(both)
+    field = common_residue_field(both)
     out_a = [e if e.field == field else rs.embed_element(e, field) for e in a]
     out_b = [e if e.field == field else rs.embed_element(e, field) for e in b]
     return out_a, out_b

@@ -92,6 +92,9 @@ class ResidueElement:
             return self.value == 0
         return all(c == 0 for c in self.value)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __eq__(self, other):
         return (
             isinstance(other, ResidueElement)

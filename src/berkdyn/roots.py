@@ -9,6 +9,7 @@ the gcd recursion F -> gcd(F, F'), which is characteristic-safe."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExtensionBound, PrecisionExhausted
 from .fields import (
@@ -47,49 +48,42 @@ def pth_root_element(x: FieldElement) -> FieldElement:
     bk = x.backend
     if bk.kind != EQUICHARP:
         raise ValueError("p-th roots of elements only in characteristic p")
-    terms = {q / bk.p: c.pth_root() for q, c in x.terms.items()}
+    terms = {(i, e * bk.p): c.pth_root() for (i, e), c in x.terms.items()}
     prec = None if x.prec is None else Fraction(x.prec, bk.p)
     return FieldElement(bk, terms, prec)
 
 
-def _common_field(elts):
-    from math import lcm
-
+def common_residue_field(elts):
+    """The smallest residue field holding every element of elts."""
     fields = [e.field for e in elts if not e.field.is_rational]
     if not fields:
         return elts[0].field
     k = 1
     for f in fields:
         k = lcm(k, f.k)
-    big = rs.ResidueField(fields[0].p, k)
-    return big
+    return rs.ResidueField(fields[0].p, k)
 
 
-def segment_residue_poly(G, seg):
-    """Residue polynomial of a Newton-polygon segment of G.
-
-    Returns (coeffs over a common residue field, root valuation v).  Roots u
-    of the residue polynomial are the leading digits of roots h = u*pi^v + ...
-    of G, with matching multiplicities."""
-    slope, width, i0, i1 = seg
-    v = -slope
-    bk = G[0].backend
-    y0 = G[i0].valuation()
+def ball_residue_poly(C, v):
+    """Residue polynomial of C along the ball of log-radius v (centered where
+    C was recentered): coefficient i reduces C_i * pi^(i*v - level)."""
+    C = list(C)
+    level = polys.gauss_valuation(C, v)
+    if level == INF:
+        return []
+    bk = C[0].backend
     res = []
-    for j in range(width + 1):
-        c = G[i0 + j]
-        line = y0 + slope * j
+    for i, c in enumerate(C):
         if c.is_zero_to_precision():
-            if not c.is_exact and c.prec <= line:
-                raise PrecisionExhausted("segment coefficient unknown at line level")
+            if not c.is_exact and c.prec + i * v <= level:
+                raise PrecisionExhausted("ball residue coefficient unknown")
             res.append(None)
             continue
-        if c.valuation() > line:
+        if c.valuation() + i * v > level:
             res.append(None)
         else:
-            shifted = c * bk.uniformizer_pow(-line)
-            res.append(shifted.reduce())
-    field = _common_field([r for r in res if r is not None])
+            res.append((c * bk.uniformizer_pow(i * v - level)).reduce())
+    field = common_residue_field([r for r in res if r is not None])
     out = []
     for r in res:
         if r is None:
@@ -98,7 +92,18 @@ def segment_residue_poly(G, seg):
             out.append(r)
         else:
             out.append(rs.embed_element(r, field))
-    return out, v
+    return rs.rpoly_trim(out)
+
+
+def segment_residue_poly(G, seg):
+    """Residue polynomial of a Newton-polygon segment of G.
+
+    Returns (coeffs over a common residue field, root valuation v).  Roots u
+    of the residue polynomial are the leading digits of roots h = u*pi^v + ...
+    of G, with matching multiplicities.  The segment is G[i0..i1] seen on the
+    ball of log-radius v = -slope, whose level is the segment's line."""
+    slope, _, i0, i1 = seg
+    return ball_residue_poly(G[i0 : i1 + 1], -slope), -slope
 
 
 def _taylor_head(F, z):

@@ -172,6 +172,22 @@ class TestArithmetic:
         with pytest.raises(IncompatibleBackends):
             B2.one() + B3.one()
 
+    def test_precision_budget_distinguishes_backends(self):
+        # arithmetic truncates at each backend's own budget, so elements and
+        # points of backends that differ only in precision must not mix
+        from berkdyn import IncompatibleBackends
+        from berkdyn.berkovich import BerkPoint
+
+        low, high = Backend(PADIC, p=3, precision=5), Backend(PADIC, p=3, precision=40)
+        assert low != high and Backend(PADIC, p=3, precision=5) == low
+        x, y = low.from_int(2), high.from_int(2)
+        assert x != y
+        assert BerkPoint.type_i(x) != BerkPoint.type_i(y)
+        assert BerkPoint.type_ii(x, 1) != BerkPoint.type_ii(y, 1)
+        assert BerkPoint.infinity(low) != BerkPoint.infinity(high)
+        with pytest.raises(IncompatibleBackends):
+            x + y
+
     @pytest.mark.parametrize("bk", [B2, B3, BQ, BF2, BF3])
     def test_field_axioms_random(self, bk):
         rng = random.Random(17)
@@ -245,6 +261,29 @@ class TestUniformizerPow:
                 q1 = F(rng.randint(-8, 8), rng.randint(1, 4))
                 q2 = F(rng.randint(-8, 8), rng.randint(1, 4))
                 assert bk.uniformizer_pow(q1) * bk.uniformizer_pow(q2) == bk.uniformizer_pow(q1 + q2)
+
+
+class TestTermKeys:
+    """Every backend keys its terms by reduced pairs (i, e) for pi^(i/e)."""
+
+    @pytest.mark.parametrize("bk", [BQ, BF3], ids=["laurentq", "laurentfp3"])
+    def test_series_keys_reduced(self, bk):
+        from berkdyn.roots import pth_root_element
+
+        t = bk.uniformizer_pow(1)
+        half = bk.uniformizer_pow(F(1, 2))
+        assert half * half == t
+        assert hash(half * half) == hash(t)
+        assert bk.uniformizer_pow(F(1, 3)) * bk.uniformizer_pow(F(2, 3)) == t
+        if bk.kind == EQUICHARP:
+            assert pth_root_element(half) == bk.uniformizer_pow(F(1, 6))
+            assert pth_root_element(bk.uniformizer_pow(3)) == t
+
+    @pytest.mark.parametrize("bk", [B3, BQ, BF3], ids=["padic3", "laurentq", "laurentfp3"])
+    def test_literal_roundtrip_negative_fractional_exponent(self, bk):
+        x = bk.from_int(2) * bk.uniformizer_pow(F(-2, 3)) + bk.one() + bk.uniformizer_pow(F(5, 2))
+        assert x.valuation() == F(-2, 3)
+        assert bk.parse_literal(x.literal()) == x
 
 
 class TestResidueRoots:

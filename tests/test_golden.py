@@ -1,8 +1,10 @@
-"""Golden outputs of the README `berk` commands, compared byte for byte.
+"""Golden outputs of `berk` commands, compared byte for byte.
 
-Each command runs in-process through `berkdyn.cli.main`; its stdout must
-equal the file of the same name in `tests/golden/`.  The `seconds` column of
-`examples run-all` is wall time, so it is masked on both sides.
+The README commands (all on p-adic backends) plus series-backend commands
+with fractional and negative exponents.  Each command runs in-process through
+`berkdyn.cli.main`; its stdout must equal the file of the same name in
+`tests/golden/`.  The `seconds` column of `examples run-all` is wall time,
+so it is masked on both sides.
 """
 
 import re
@@ -35,7 +37,35 @@ COMMANDS = {
     ],
     "shift": ["shift", "--p", "2", "--depth", "4", "--check-against-solver"],
     "examples": ["examples", "run-all"],
+    # Series backends: fractional and negative exponents, both residue fields.
+    "image-laurentq": [
+        "image", "--backend", "laurentq", "--map", "z^2+z",
+        "--point", '{"t":"II","c":"[(-1/3,1),(2/3,2)]","logr":"5/3"}',
+    ],
+    "image-laurentfp": [
+        "image", "--backend", "laurentfp:p=3", "--map", "z^2+z",
+        "--point", '{"t":"II","c":"[(-1/3,1),(2/3,2)]","logr":"5/3"}',
+    ],
+    "preimages-laurentfp-p3": [
+        "preimages", "--backend", "laurentfp:p=3", "--map", "z^3/c",
+        "--const", "c=1", "--point", '{"t":"I","v":"[(1/2,1),(3/2,2)]"}',
+    ],
+    "preimages-laurentq": [
+        "preimages", "--backend", "laurentq", "--map", "(z^2-z^4)/2",
+        "--point", '{"t":"II","c":"[(1/2,1)]","logr":"1/3"}',
+    ],
+    "preimages-laurentfp-p5": [
+        "preimages", "--backend", "laurentfp:p=5", "--map", "z^5+z",
+        "--point", '{"t":"II","c":"[(-1/5,2)]","logr":"1/2"}',
+    ],
+    "local-degree-laurentfp": [
+        "local-degree", "--backend", "laurentfp:p=2", "--map", "z^2+z",
+        "--point", '{"t":"II","c":"[(1/2,1)]","logr":"1"}',
+    ],
 }
+
+# Commands whose pinned answer is a typed error, with their exit code.
+EXIT_CODES = {"preimages-laurentfp-p5": 3}
 
 _SECONDS = re.compile(r"  \d+\.\d\d$", re.M)
 
@@ -55,5 +85,5 @@ def run_command(capsys, name):
 def test_readme_command_matches_golden(capsys, name, monkeypatch):
     monkeypatch.delenv("BERK_PRECISION", raising=False)
     code, out = run_command(capsys, name)
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.out").read_text()
