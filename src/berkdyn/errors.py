@@ -23,7 +23,7 @@ class PrecisionExhausted(BerkdynError):
 
 class ExtensionBound(BerkdynError):
     """A root or digit lives in a residue extension beyond k_max (or is not
-    representable in the backend at all)."""
+    representable in the backend, or in the CLI literal syntax, at all)."""
 
 
 class InfinityOperand(BerkdynError):

@@ -479,7 +479,7 @@ class FieldElement:
         pairs = []
         for q, c in self._sorted_terms():
             if bk.kind == EQUICHARP and c.field.k != 1:
-                raise ValueError("no literal for extension-field coefficients")
+                raise ExtensionBound("no literal for extension-field coefficients")
             pairs.append(f"({q},{c})")
         return "[" + ",".join(pairs) + "]"
 
@@ -633,7 +633,13 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
     coeffs: ascending list of ResidueElement over a common field.
     Returns [(root, multiplicity)].  Raises ExtensionBound when no root is
     representable within the bound (QQ: no rational root).
-    """
+
+    Over F_q the roots come level by level, m = 1, 2, ... while q^m stays
+    within F_{p^k_max} and roots are missing: the roots whose smallest field
+    over F_q is F_{q^m}, in ResidueField.elements() order.  The distinct-
+    degree step gives, over F_q, the product g_m of the irreducible factors
+    of degree m; residue.rpoly_split_roots finds its roots in F_{q^m}.  A
+    level without such factors is skipped without embedding anything."""
     coeffs = rs.rpoly_trim(list(coeffs))
     if rs.rpoly_degree(coeffs) < 1:
         raise ValueError("residue_roots needs deg >= 1")
@@ -648,21 +654,27 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
     found = []
     total_mult = 0
     deg = rs.rpoly_degree(coeffs)
-    m = 1
-    while base_k * m <= k_max and total_mult < deg:
+    x = [field.zero(), field.one()]
+    frob = x
+    # level d -> product of the irreducible factors of degree d of coeffs
+    level_factors = {}
+    m = 0
+    while base_k * (m + 1) <= k_max and total_mult < deg:
+        m += 1
+        # frob = X^(q^m) mod coeffs; gcd(coeffs, frob - X) is the product of
+        # the irreducible factors whose degree divides m
+        frob = rs.rpoly_powmod(frob, p**base_k, coeffs, field)
+        g = rs.rpoly_gcd(coeffs, rs.rpoly_sub(frob, x, field), field)
+        for d, g_d in level_factors.items():
+            if m % d == 0:  # drop the factors of degree d < m
+                g = rs.rpoly_divmod(g, g_d, field)[0]
+        if len(g) < 2:
+            continue
+        level_factors[m] = g
         big = rs.ResidueField(p, base_k * m)
         emb = [rs.embed_element(c, big) for c in coeffs]
-        for cand in big.elements():
+        for cand in rs.rpoly_split_roots([rs.embed_element(c, big) for c in g], big):
             if not rs.rpoly_eval(emb, cand).is_zero():
-                continue
-            # count each root only at its minimal field level: skip if cand
-            # is fixed by the Frobenius of a proper subfield over the base
-            minimal = True
-            for mp in range(1, m):
-                if m % mp == 0 and cand ** (p ** (base_k * mp)) == cand:
-                    minimal = False
-                    break
-            if not minimal:
                 continue
             mult = 0
             work = list(emb)
@@ -675,7 +687,6 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
                 mult += 1
             found.append((cand, mult))
             total_mult += mult
-        m += 1
     if not found:
         raise ExtensionBound(
             f"residue roots require an extension beyond k_max={k_max}"

@@ -4,10 +4,18 @@ Two kinds appear: the rationals (equicharacteristic-zero backends) and the
 finite fields F_{p^k}.  Finite fields are modeled as F_p[x] modulo a fixed
 irreducible of degree k (the lexicographically first monic one, so the choice
 is deterministic across runs).
+
+Polynomials over a residue field are ascending lists of elements (rpoly_*).
+rpoly_split_roots finds the roots in F_Q of a polynomial that splits there
+into distinct linear factors: by evaluation at every element when Q is small
+against the degree, by Cantor-Zassenhaus equal-degree splitting otherwise.
+fields.residue_roots reduces any polynomial to that case by distinct-degree
+factorization over its own field.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,14 +26,12 @@ class ResidueField:
     def __init__(self, p: int, k: int = 1):
         self.p = p
         self.k = k
+        self.is_rational = p == 0
         if p == 0:
             self.modulus = None
         else:
             self.modulus = _find_irreducible(p, k)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p == 0
+            self._x_powers = _high_powers(self.modulus, p)
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.k) == (other.p, other.k)
@@ -90,7 +96,7 @@ class ResidueElement:
     def is_zero(self) -> bool:
         if self.field.is_rational:
             return self.value == 0
-        return all(c == 0 for c in self.value)
+        return not any(self.value)
 
     def __bool__(self):
         return not self.is_zero()
@@ -125,6 +131,8 @@ class ResidueElement:
         f = self.field
         if f.is_rational:
             return ResidueElement(f, self.value + other.value)
+        if f.k == 1:
+            return ResidueElement(f, ((self.value[0] + other.value[0]) % f.p,))
         return ResidueElement(
             f, tuple((a + b) % f.p for a, b in zip(self.value, other.value))
         )
@@ -136,19 +144,31 @@ class ResidueElement:
         return ResidueElement(f, tuple((-a) % f.p for a in self.value))
 
     def __sub__(self, other):
-        return self + (-other)
+        f = self.field
+        if f.is_rational:
+            return ResidueElement(f, self.value - other.value)
+        if f.k == 1:
+            return ResidueElement(f, ((self.value[0] - other.value[0]) % f.p,))
+        return ResidueElement(
+            f, tuple((a - b) % f.p for a, b in zip(self.value, other.value))
+        )
 
     def __mul__(self, other):
         f = self.field
         if f.is_rational:
             return ResidueElement(f, self.value * other.value)
+        if f.k == 1:
+            return ResidueElement(f, (self.value[0] * other.value[0] % f.p,))
         prod = [0] * (2 * f.k - 1)
         for i, a in enumerate(self.value):
             if a:
                 for j, b in enumerate(other.value):
-                    if b:
-                        prod[i + j] = (prod[i + j] + a * b) % f.p
-        return ResidueElement(f, _reduce_mod(prod, f.modulus, f.p, f.k))
+                    prod[i + j] += a * b
+        for row, c in zip(f._x_powers, prod[f.k :]):
+            if c:
+                for i, r in enumerate(row):
+                    prod[i] += c * r
+        return ResidueElement(f, tuple(c % f.p for c in prod[: f.k]))
 
     def inverse(self):
         f = self.field
@@ -245,44 +265,37 @@ def _polydivmod_fp(a, b, p):
     return _polytrim(q), r
 
 
+@lru_cache(maxsize=None)
+def _high_powers(modulus, p):
+    """x^j mod the monic modulus for j = k .. 2k-2, as coefficient tuples."""
+    k = len(modulus) - 1
+    row = [(-c) % p for c in modulus[:k]]
+    rows = []
+    for _ in range(k - 1):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [(a + top * b) % p for a, b in zip([0] + row[:-1], rows[0])]
+    return rows
+
+
 def _reduce_mod(coeffs, modulus, p, k):
     _, r = _polydivmod_fp(coeffs, list(modulus), p)
     r = list(r) + [0] * (k - len(r))
     return tuple(r[:k])
 
 
-def _poly_powmod_fp(base, n, mod, p):
-    result = [1]
-    base = _polydivmod_fp(base, mod, p)[1]
-    while n:
-        if n & 1:
-            result = _polydivmod_fp(_polymul_fp(result, base, p), mod, p)[1]
-        base = _polydivmod_fp(_polymul_fp(base, base, p), mod, p)[1]
-        n >>= 1
-    return result
-
-
-def _polygcd_fp(a, b, p):
-    a, b = _polytrim(list(a)), _polytrim(list(b))
-    while b:
-        a, b = b, _polydivmod_fp(a, b, p)[1]
-    if a:
-        c = pow(a[-1], -1, p)
-        a = [(x * c) % p for x in a]
-    return a
-
-
 def _is_irreducible(f, p):
+    field = ResidueField(p)
+    f = [field.from_int(c) for c in f]
     k = len(f) - 1
-    x = [0, 1]
+    x = [field.zero(), field.one()]
     # f | x^(p^k) - x  and  gcd(x^(p^(k/ell)) - x, f) = 1 for prime divisors ell of k
-    xq = _poly_powmod_fp(x, p ** k, f, p)
-    if _polytrim(_polysub_fp(xq, x, p)):
+    if rpoly_sub(rpoly_powmod(x, p ** k, f, field), x, field):
         return False
     for ell in range(2, k + 1):
         if k % ell == 0 and _is_prime(ell):
-            xq = _poly_powmod_fp(x, p ** (k // ell), f, p)
-            if len(_polygcd_fp(_polysub_fp(xq, x, p), f, p)) > 1:
+            xq = rpoly_powmod(x, p ** (k // ell), f, field)
+            if len(rpoly_gcd(rpoly_sub(xq, x, field), f, field)) > 1:
                 return False
     return True
 
@@ -356,14 +369,16 @@ def rpoly_divmod(a, b, field):
         raise ZeroDivisionError
     inv_lead = b[-1].inverse()
     q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        c = r[-1] * inv_lead
-        d = len(r) - len(b)
+    r = a
+    while len(r) >= len(b):
+        c = r.pop() * inv_lead
+        d = len(r) + 1 - len(b)
         q[d] = c
-        for i, y in enumerate(b):
+        # the leading term cancels exactly and was popped
+        for i, y in enumerate(b[:-1]):
             r[i + d] = r[i + d] - c * y
-        r = rpoly_trim(r)
+        while r and r[-1].is_zero():
+            r.pop()
     return q, r
 
 
@@ -386,6 +401,83 @@ def rpoly_derivative(coeffs, field):
     return rpoly_trim(out)
 
 
+def rpoly_sub(a, b, field):
+    a, b = list(a), list(b)
+    n = max(len(a), len(b))
+    a += [field.zero()] * (n - len(a))
+    b += [field.zero()] * (n - len(b))
+    return rpoly_trim([x - y for x, y in zip(a, b)])
+
+
+def rpoly_powmod(base, n, mod, field):
+    """base^n modulo mod."""
+    result = [field.one()]
+    base = rpoly_divmod(base, mod, field)[1]
+    while True:
+        if n & 1:
+            result = rpoly_divmod(rpoly_mul(result, base, field), mod, field)[1]
+        n >>= 1
+        if not n:
+            return result
+        base = rpoly_divmod(rpoly_mul(base, base, field), mod, field)[1]
+
+
+# Finding the roots of a degree-d polynomial by evaluating it at every element
+# of F_Q costs about Q*d products; splitting it costs about d^2*log(Q)
+# products per random trial.  Fields with at most this many elements per
+# degree are enumerated.  Timed on split polynomials of degree 2 to 8 over
+# fields of 4 to 625 elements, enumeration was faster below 40 to 90
+# elements per degree.
+ENUMERATE_PER_DEGREE = 64
+
+
+def rpoly_split_roots(g, field):
+    """Roots in `field` of g, which splits there into distinct linear factors,
+    sorted in elements() order.
+
+    Large fields are split by equal-degree factorization (Cantor and
+    Zassenhaus, Math. Comp. 36, 1981) with a fixed-seed generator, so the
+    same input always takes the same steps."""
+    g = rpoly_trim(g)
+    if len(g) == 2:
+        return [-g[0] / g[1]]
+    if field.p ** field.k <= ENUMERATE_PER_DEGREE * (len(g) - 1):
+        return [x for x in field.elements() if rpoly_eval(g, x).is_zero()]
+    rng = random.Random(0)
+    found = []
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            found.append(-h[0] / h[1])
+            continue
+        s = _split(h, field, rng)
+        todo += [s, rpoly_divmod(h, s, field)[0]]
+    return sorted(found, key=lambda x: x.value[::-1])
+
+
+def _split(h, field, rng):
+    """A proper monic factor of h (degree >= 2, distinct roots in field)."""
+    p, k = field.p, field.k
+    while True:
+        delta = ResidueElement(field, tuple(rng.randrange(p) for _ in range(k)))
+        if p == 2:
+            # absolute trace of delta*X, in F_2 at every root (and a sum,
+            # since subtracting is adding in characteristic 2)
+            t = rpoly_divmod([field.zero(), delta], h, field)[1]
+            test = t
+            for _ in range(k - 1):
+                t = rpoly_powmod(t, 2, h, field)
+                test = rpoly_sub(test, t, field)
+        else:
+            # (X + delta)^((Q-1)/2) - 1 vanishes where X + delta is a square
+            half = rpoly_powmod([delta, field.one()], (p**k - 1) // 2, h, field)
+            test = rpoly_sub(half, [field.one()], field)
+        s = rpoly_gcd(h, test, field)
+        if 1 < len(s) < len(h):
+            return s
+
+
 def embed_element(x: ResidueElement, big: ResidueField) -> ResidueElement:
     """Embed x ∈ F_{p^k} into F_{p^m}, k | m (deterministic choice of embedding)."""
     small = x.field
@@ -405,11 +497,8 @@ def embed_element(x: ResidueElement, big: ResidueField) -> ResidueElement:
 
 @lru_cache(maxsize=None)
 def _embedding_image(p, k, m):
-    """Image of the degree-k generator inside GF(p, m): first root of its modulus."""
-    small = ResidueField(p, k)
+    """Image of the degree-k generator inside GF(p, m): the first root of its
+    modulus in elements() order."""
     big = ResidueField(p, m)
-    modulus_coeffs = [big.from_int(c) for c in small.modulus]
-    for cand in big.elements():
-        if rpoly_eval(modulus_coeffs, cand).is_zero():
-            return cand.value
-    raise RuntimeError("embedding root not found (unreachable)")
+    modulus = [big.from_int(c) for c in ResidueField(p, k).modulus]
+    return rpoly_split_roots(modulus, big)[0].value

@@ -330,7 +330,16 @@ def _roots_impl(F, prec, partial):
             out.append((r, 1))
         return _merge(out)
     S, rem = polys.divmod_poly(F, g)
-    assert all(c.is_zero_to_precision() for c in rem)
+    if not all(c.is_zero_to_precision() for c in rem):
+        # gcd_poly stops at a remainder that is zero only to the precision
+        # budget, so g can be spurious; F is squarefree if it has deg F roots
+        simple = squarefree_roots(F, prec, partial)
+        if len(simple) != polys.degree(F):
+            raise PrecisionExhausted(
+                "gcd(F, F') lost precision: it does not divide F, and F "
+                f"has {len(simple)} simple roots, not {polys.degree(F)}"
+            )
+        return _merge(out + [(r, 1) for r in simple])
     simple = [(r, 1) for r in squarefree_roots(S, prec, partial)]
     repeated = _roots_impl(g, prec, partial)
     for r, m in repeated:

@@ -58,6 +58,11 @@ COMMANDS = {
         "preimages", "--backend", "laurentfp:p=5", "--map", "z^5+z",
         "--point", '{"t":"II","c":"[(-1/5,2)]","logr":"1/2"}',
     ],
+    # The fiber lies in F_9, which the literal syntax cannot write.
+    "preimages-laurentfp-ext": [
+        "preimages", "--backend", "laurentfp:p=3", "--map", "z^2+1",
+        "--point", '{"t":"I","v":"[(0,0)]"}',
+    ],
     "local-degree-laurentfp": [
         "local-degree", "--backend", "laurentfp:p=2", "--map", "z^2+z",
         "--point", '{"t":"II","c":"[(1/2,1)]","logr":"1"}',
@@ -65,7 +70,7 @@ COMMANDS = {
 }
 
 # Commands whose pinned answer is a typed error, with their exit code.
-EXIT_CODES = {"preimages-laurentfp-p5": 3}
+EXIT_CODES = {"preimages-laurentfp-p5": 3, "preimages-laurentfp-ext": 3}
 
 _SECONDS = re.compile(r"  \d+\.\d\d$", re.M)
 

@@ -1,0 +1,255 @@
+"""Residue-field arithmetic and root finding against independent oracles.
+
+Oracles: schoolbook products reduced by the field modulus on plain integer
+tuples, a brute-force root enumerator over every element of F_{p^m} with a
+Frobenius test for the minimal level, and sympy's factorization over F_p."""
+
+import random
+
+import pytest
+import sympy
+
+from berkdyn import ExtensionBound
+from berkdyn import residue as rs
+from berkdyn.fields import residue_roots
+
+# -- plain-integer arithmetic in GF(p, k) = F_p[x]/(modulus) -----------------
+
+
+def gf_mul(a, b, modulus, p):
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        for i, m in enumerate(modulus):
+            prod[d - k + i] -= c * m
+    return tuple(c % p for c in prod[:k])
+
+
+def gf_elements(p, k):
+    for n in range(p**k):
+        yield tuple((n // p**i) % p for i in range(k))
+
+
+def gf_eval(coeffs, x, modulus, p):
+    acc = (0,) * len(x)
+    for c in reversed(coeffs):
+        acc = tuple((a + b) % p for a, b in zip(gf_mul(acc, x, modulus, p), c))
+    return acc
+
+
+def gf_pow(x, n, modulus, p):
+    out = (1,) + (0,) * (len(x) - 1)
+    while n:
+        if n & 1:
+            out = gf_mul(out, x, modulus, p)
+        x = gf_mul(x, x, modulus, p)
+        n >>= 1
+    return out
+
+
+def brute_embedding(p, k, m):
+    """First element of GF(p, m), in enumeration order, where the modulus of
+    GF(p, k) vanishes: the image of the generator of GF(p, k)."""
+    small = [(c,) + (0,) * (m - 1) for c in rs.ResidueField(p, k).modulus]
+    big_mod = rs.ResidueField(p, m).modulus
+    zero = (0,) * m
+    return next(x for x in gf_elements(p, m) if gf_eval(small, x, big_mod, p) == zero)
+
+
+def brute_embed(c, p, m, beta):
+    big_mod = rs.ResidueField(p, m).modulus
+    return gf_eval([(a,) + (0,) * (m - 1) for a in c], beta, big_mod, p)
+
+
+def brute_roots(coeffs, p, k, k_max):
+    """[(field degree, value, multiplicity)] level by level, each level in
+    enumeration order, or "ExtensionBound" when nothing is found."""
+    deg = len(coeffs) - 1
+    found, total, m = [], 0, 1
+    while k * m <= k_max and total < deg:
+        K = k * m
+        mod = rs.ResidueField(p, K).modulus
+        beta = brute_embedding(p, k, K) if K > k else None
+        emb = [brute_embed(c, p, K, beta) if beta else c for c in coeffs]
+        zero = (0,) * K
+        for x in gf_elements(p, K):
+            if gf_eval(emb, x, mod, p) != zero:
+                continue
+            if any(m % d == 0 and gf_pow(x, p ** (k * d), mod, p) == x for d in range(1, m)):
+                continue
+            mult, work = 0, emb
+            while True:
+                # synthetic division by (X - x)
+                acc, out = zero, []
+                for c in reversed(work):
+                    acc = tuple((a + b) % p for a, b in zip(gf_mul(acc, x, mod, p), c))
+                    out.append(acc)
+                if out[-1] != zero:
+                    break
+                work = list(reversed(out[:-1]))
+                mult += 1
+            found.append((K, x, mult))
+            total += mult
+        m += 1
+    return found or "ExtensionBound"
+
+
+def library_roots(coeffs, p, k, k_max):
+    field = rs.ResidueField(p, k)
+    try:
+        out = residue_roots([rs.ResidueElement(field, c) for c in coeffs], k_max=k_max)
+    except ExtensionBound:
+        return "ExtensionBound"
+    return [(r.field.k, r.value, mult) for r, mult in out]
+
+
+def random_poly(rng, p, k, deg):
+    coeffs = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(deg + 1)]
+    if not any(coeffs[-1]):
+        coeffs[-1] = (1,) + (0,) * (k - 1)
+    return coeffs
+
+
+def poly_mul(a, b, p, k):
+    mod = rs.ResidueField(p, k).modulus
+    out = [(0,) * k] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = tuple((s + t) % p for s, t in zip(out[i + j], gf_mul(x, y, mod, p)))
+    return out
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (11, 2), (101, 3)]
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_products_match_schoolbook(p, k):
+    rng = random.Random(p * 10 + k)
+    field = rs.ResidueField(p, k)
+    assert sympy.Poly(list(reversed(field.modulus)), sympy.Symbol("x"), modulus=p).is_irreducible
+    for _ in range(200):
+        a = tuple(rng.randrange(p) for _ in range(k))
+        b = tuple(rng.randrange(p) for _ in range(k))
+        x, y = rs.ResidueElement(field, a), rs.ResidueElement(field, b)
+        assert (x * y).value == gf_mul(a, b, field.modulus, p)
+        assert (x + y).value == tuple((s + t) % p for s, t in zip(a, b))
+        assert (x - y).value == tuple((s - t) % p for s, t in zip(a, b))
+        assert x.is_zero() == (not any(a))
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 2, 4), (2, 4, 8), (3, 2, 4), (5, 2, 4), (7, 2, 4)])
+def test_embedding_image_is_first_root_of_modulus(p, k, m):
+    assert rs._embedding_image(p, k, m) == brute_embedding(p, k, m)
+
+
+def _corpus(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        p, k = rng.choice([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2)])
+        k_max = rng.choice([k, 2 * k] if k == 2 else [1, 2, 3, 4])
+        if p ** k_max > 625:
+            k_max = 2 * k if k == 2 and p ** (2 * k) <= 625 else max(k, 3)
+        if rng.random() < 0.5:
+            coeffs = random_poly(rng, p, k, rng.randint(1, 6))
+        else:
+            # repeated factors: a^2 * b, sometimes a^3 * b
+            a = random_poly(rng, p, k, rng.randint(1, 2))
+            b = random_poly(rng, p, k, rng.randint(0, 2))
+            coeffs = poly_mul(poly_mul(a, a, p, k), b, p, k)
+            if rng.random() < 0.3:
+                coeffs = poly_mul(coeffs, a, p, k)
+        yield p, k, k_max, coeffs
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_roots_match_brute_force(chunk):
+    for p, k, k_max, coeffs in list(_corpus(2024, 160))[chunk::4]:
+        assert library_roots(coeffs, p, k, k_max) == brute_roots(coeffs, p, k, k_max), (p, k, k_max, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_root_counts_per_level_match_sympy(p):
+    x = sympy.Symbol("x")
+    rng = random.Random(p)
+    for _ in range(40):
+        deg = rng.randint(1, 8)
+        coeffs = random_poly(rng, p, 1, deg)
+        if rng.random() < 0.4:
+            a = random_poly(rng, p, 1, rng.randint(1, 2))
+            coeffs = poly_mul(poly_mul(coeffs, a, p, 1), a, p, 1)
+        _, factors = sympy.Poly([c[0] for c in reversed(coeffs)], x, modulus=p).factor_list()
+        want = {}
+        for f, e in factors:
+            d = f.degree()
+            if d <= 4:
+                distinct, total = want.get(d, (0, 0))
+                want[d] = (distinct + d, total + d * e)
+        got = library_roots(coeffs, p, 1, 4)
+        if not want:
+            assert got == "ExtensionBound"
+            continue
+        have = {}
+        for level, _, mult in got:
+            distinct, total = have.get(level, (0, 0))
+            have[level] = (distinct + 1, total + mult)
+        assert have == want, coeffs
+
+
+def test_trace_split_in_characteristic_two():
+    """Three distinct roots in F_256 (too many elements per degree to
+    enumerate): found by splitting with the absolute trace."""
+    big = rs.ResidueField(2, 8)
+    rng = random.Random(5)
+    chosen = set()
+    while len(chosen) < 3:
+        chosen.add(tuple(rng.randrange(2) for _ in range(8)))
+    g = [big.one()]
+    for r in chosen:
+        g = rs.rpoly_mul(g, [-rs.ResidueElement(big, r), big.one()], big)
+    assert big.p**big.k > rs.ENUMERATE_PER_DEGREE * 3
+    got = [r.value for r in rs.rpoly_split_roots(g, big)]
+    assert got == [x for x in gf_elements(2, 8) if x in chosen]
+
+
+def test_quadratic_over_f16_needs_f256():
+    """An irreducible quadratic over F_16: its two roots lie in F_256."""
+    p, k = 2, 4
+    mod = rs.ResidueField(p, k).modulus
+    for c0 in gf_elements(p, k):
+        for c1 in gf_elements(p, k):
+            coeffs = [c0, c1, (1, 0, 0, 0)]
+            if all(gf_eval(coeffs, x, mod, p) != (0,) * k for x in gf_elements(p, k)):
+                break
+        else:
+            continue
+        break
+    got = library_roots(coeffs, p, k, 8)
+    assert got == brute_roots(coeffs, p, k, 8)
+    assert [(level, mult) for level, _, mult in got] == [(8, 1), (8, 1)]
+
+
+def test_irreducible_cubic_over_f101():
+    """Roots in F_{101^3}: a conjugate triple r, r^101, r^(101^2)."""
+    p = 101
+    x = sympy.Symbol("x")
+    b = next(b for b in range(1, p) if sympy.Poly(x**3 + x + b, x, modulus=p).is_irreducible)
+    coeffs = [b, 1, 0, 1]
+    got = library_roots([(c,) for c in coeffs], p, 1, 4)
+    assert [(level, mult) for level, _, mult in got] == [(3, 1)] * 3
+    values = [v for _, v, _ in got]
+    assert values == sorted(values, key=lambda v: v[::-1])
+    mod = rs.ResidueField(p, 3).modulus
+    r = values[0]
+    r1 = gf_pow(r, p, mod, p)
+    r2 = gf_pow(r1, p, mod, p)
+    assert sorted(values) == sorted([r, r1, r2])
+    for v in values:
+        assert gf_eval([(c, 0, 0) for c in coeffs], v, mod, p) == (0, 0, 0)
+

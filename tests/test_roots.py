@@ -150,6 +150,28 @@ class TestCharP:
             assert m == 1
             assert polys.evaluate(P, r).is_zero()
 
+    @pytest.mark.parametrize(
+        "low,high",
+        [
+            ([4, 0, 0, 4, 1], [4, 6, 0, 0, 1]),
+            ([6, 0, 0, 5, 1], [6, 2, 0, 0, 1]),
+            ([2, 0, 0, 2, 1], [3, 2, 0, 0, 1]),
+        ],
+    )
+    def test_squarefree_product_with_lossy_gcd(self, low, high):
+        # Products of two irreducible quartics over F_7, one scaled to roots
+        # of valuation -1, the other to +1.  gcd(P, P') loses a remainder
+        # that is zero only to the precision budget and comes out linear.
+        bk = Backend(EQUICHARP, p=7)
+        P = [bk.one()]
+        for f, s in [(low, -1), (high, 1)]:
+            P = polys.mul(P, [bk.from_int(c) * bk.uniformizer_pow(s * (4 - i)) for i, c in enumerate(f)])
+        got = roots_with_mult(P)
+        assert [m for _, m in got] == [1] * 8
+        assert sorted(r.valuation() for r, _ in got) == [-1] * 4 + [1] * 4
+        for r, _ in got:
+            assert r.is_exact and polys.evaluate(P, r).is_zero()
+
     def test_pth_root_element_squares_back(self):
         x = BF3.one() + BF3.from_int(2) * BF3.uniformizer_pow(F(5, 2))
         r = pth_root_element(x)
