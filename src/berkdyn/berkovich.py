@@ -63,10 +63,6 @@ class BerkPoint:
     def is_type_ii(self):
         return self.variant == TYPE_II
 
-    @property
-    def in_hyperbolic(self):
-        return self.variant == TYPE_II
-
     def diam_val(self):
         """Valuation-scale log of diam: logr for balls, +inf for points."""
         if self.variant == TYPE_II:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .berkovich import BerkPoint, hyperbolic_distance, join
-from .errors import Inconclusive, ParamDomain, PrecisionExhausted
+from .errors import ExtensionBound, Inconclusive, ParamDomain, PrecisionExhausted
 from .measures import AtomicMeasure, pullback, pushforward
 from . import polys
 from .roots import roots_with_mult
@@ -233,7 +233,7 @@ def theorem_e_detect(R, n_max=8, margin=Fraction(1, 8)):
 def _totally_invariant(R, S: BerkPoint) -> bool:
     try:
         fiber = R.preimages(S)
-    except Exception:
+    except (ExtensionBound, PrecisionExhausted):
         return False
     return len(fiber) == 1 and fiber[0][0] == S and fiber[0][1] == R.degree
 

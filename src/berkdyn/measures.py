@@ -57,10 +57,6 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
 
-    @property
-    def is_positive(self) -> bool:
-        return all(m > 0 for _, m in self.atoms)
-
     def mass_at(self, point: BerkPoint) -> Fraction:
         for p, m in self.atoms:
             if p == point:
@@ -257,9 +253,6 @@ class TreeFunction:
             return self.values[v]
         ln = hyperbolic_distance(v, w)
         return self.values[v] + self.slope(v, w, ln) * dist
-
-    def sup_norm(self) -> Fraction:
-        return max(abs(x) for x in self.values.values())
 
 
 # -- potentials and Laplacians ------------------------------------------

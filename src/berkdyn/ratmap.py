@@ -6,6 +6,15 @@ the image of a ball B(a, r) has center R(a) and a log-radius read off the
 Gauss valuations of the recentered numerator and denominator; balls containing
 a pole are handled by maximizing the image valuation over candidate centers
 digit by digit.
+
+Fibers of type-II points are found by a breadth-first digit descent along the
+roots of (num - b*den)*den.  A node D(z, r) of the descent is skipped, with
+its whole subtree, when its image provably misses the target zeta(b, u): a
+closed disc without a pole maps onto a closed disc D(b', u'), so it misses
+when u' > u or val(b - b') < u'; a disc with a pole but no zero is tested the
+same way through 1/R against the inverted target.  Sub-discs map into the
+image of their disc, so no fiber point is lost, and the points found, their
+order and their multiplicities are those of the full descent.
 """
 
 from __future__ import annotations
@@ -148,14 +157,6 @@ class RationalMap:
             return BerkPoint.infinity(self.backend)
         return BerkPoint.type_i(pv / qv)
 
-    def eval_infinity(self) -> BerkPoint:
-        dn, dd = polys.degree(self.num), polys.degree(self.den)
-        if dn > dd:
-            return BerkPoint.infinity(self.backend)
-        if dn < dd:
-            return BerkPoint.type_i(self.backend.zero())
-        return BerkPoint.type_i(self.num[-1] / self.den[-1])
-
     # -- images of points ----------------------------------------------
 
     def image_point(self, S: BerkPoint) -> BerkPoint:
@@ -196,6 +197,16 @@ class RationalMap:
             raise PrecisionExhausted("denominator at center known only approximately")
         tail = polys.gauss_valuation([Q_a[0].backend.zero()] + Q_a[1:], v)
         return tail <= q0.valuation()
+
+    @staticmethod
+    def _cleared_numerator(P_z, Q_z):
+        """q0*P_z - p0*Q_z with its constant term zeroed, for (P_z, Q_z) a
+        pair recentered at z: R - R(z) with denominators cleared, whose Gauss
+        valuation is val(q0) above that of P_z - R(z)*Q_z."""
+        if not P_z:
+            return []
+        N = polys.sub(polys.scale(P_z, Q_z[0]), polys.scale(Q_z, P_z[0]))
+        return [Q_z[0].backend.zero()] + N[1:]
 
     def _pole_ball_image(self, P_a, Q_a, v, a) -> BerkPoint:
         """Image of a ball containing a pole: find the target center w
@@ -334,8 +345,16 @@ class RationalMap:
             steps += 1
             if steps > _MAX_CENTER_STEPS:
                 raise PrecisionExhausted("fiber descent exceeded its budget")
+            P_z, Q_z = self._recentered(z)
+            N = self._cleared_numerator(P_z, Q_z)
+            if depth != -INF:
+                try:
+                    if self._disc_misses(P_z, Q_z, N, depth, b, u):
+                        continue
+                except PrecisionExhausted:
+                    pass  # undecided: search the disc
             lo = depth if depth != -INF else lo_cap
-            for t in self._candidate_radii(z, u, lo, hi):
+            for t in self._candidate_radii(P_z, Q_z, N, u, lo, hi):
                 cand = BerkPoint.type_ii(z, t)
                 if cand in found:
                     continue
@@ -375,21 +394,42 @@ class RationalMap:
                     continue  # that branch's fiber points are unrepresentable
         return [(pt, found[pt]) for pt in order]
 
-    def _candidate_radii(self, z, u, lo, hi):
-        """Radii t for which B(z, t) could map onto the target diameter u."""
-        bk = self.backend
-        P_z, Q_z = self._recentered(z)
-        # the constant terms are the values at z (Horner's rule, step by step)
+    @staticmethod
+    def _candidate_radii(P_z, Q_z, N, u, lo, hi):
+        """Radii t for which B(z, t) could map onto the target diameter u;
+        (P_z, Q_z) is the pair recentered at z, N its cleared numerator."""
         qz = Q_z[0]
-        pz = P_z[0] if P_z else bk.zero()
         if qz.is_zero_to_precision() and qz.is_exact:
             # pole at the candidate center: work through 1/R
             return polys.solve_seminorm_ratio(Q_z, P_z, -u, lo, hi)
-        # clear denominators: qz*P - pz*Q vanishes at z, and its Gauss
-        # valuation is val(qz) above that of P - (pz/qz)*Q
-        N = polys.sub(polys.scale(P_z, qz), polys.scale(Q_z, pz))
-        N = [bk.zero()] + N[1:]
+        # N's Gauss valuation is val(qz) above that of P - (pz/qz)*Q
         return polys.solve_seminorm_ratio(N, Q_z, u + qz.valuation(), lo, hi)
+
+    def _disc_misses(self, P_z, Q_z, N, depth, b, u) -> bool:
+        """Is the target zeta(b, u) provably outside the image of
+        the closed Berkovich disc D(z, depth)?  A disc without a pole maps
+        onto the closed disc D(R(z), u') with u' = S(N) - 2 val q0; a disc
+        with a pole but no zero maps onto the inverse of such a disc under
+        1/R, which is tested against the inverted target.  Raises
+        PrecisionExhausted when the data cannot decide."""
+        p0 = P_z[0] if P_z else self.backend.zero()
+        q0 = Q_z[0]
+        g = polys.gauss_valuation(N, depth)
+        if not self._ball_contains_pole(Q_z, depth):
+            # D(b', u') with b' = p0/q0: val(b - b') = val(b q0 - p0) - val q0
+            vq = q0.valuation()
+            img = g - 2 * vq
+            return img > u or (b * q0 - p0).valuation() - vq < img
+        if not P_z or self._ball_contains_pole(P_z, depth):
+            return False  # a pole and a zero: the image is the whole line
+        # 1/R maps the disc onto D(c', u'') with c' = q0/p0, u'' = S(N) - 2 val p0;
+        # 1/zeta(b, u) is zeta(0, -u) if val b >= u, else zeta(1/b, u - 2 val b)
+        vb, vp = b.valuation(), p0.valuation()
+        img = g - 2 * vp
+        if vb >= u:
+            return img > -u or q0.valuation() - vp < img
+        # val(1/b - q0/p0) = val(p0 - b q0) - val b - val p0
+        return img > u - 2 * vb or (b * q0 - p0).valuation() - vb - vp < img
 
     # -- reduction ------------------------------------------------------
 
@@ -490,8 +530,9 @@ def _proportionality(res_a, res_q):
 # map-literal parser
 
 
+# numbers are integers only, so "/" is always the division operator
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[()+\-*/^]))"
 )
 
@@ -507,7 +548,7 @@ def _tokenize(text):
             raise ParamDomain(f"bad map literal near {text[pos:pos+10]!r}")
         pos = m.end()
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
+            out.append(("num", int(m.group("num"))))
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:
@@ -599,15 +640,15 @@ class _Parser:
         while self.peek() == ("op", "^"):
             self.next()
             kind, val = self.next()
-            if kind != "num" or val.denominator != 1:
+            if kind != "num":
                 raise ParamDomain("exponent must be an integer")
-            node = node ** int(val)
+            node = node ** val
         return node
 
     def parse_atom(self):
         kind, val = self.next()
         if kind == "num":
-            return _Frac([self.bk.from_rational(val)], [self.bk.one()])
+            return _Frac([self.bk.from_int(val)], [self.bk.one()])
         if kind == "name":
             if val == "z":
                 return _Frac([self.bk.zero(), self.bk.one()], [self.bk.one()])

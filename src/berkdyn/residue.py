@@ -19,6 +19,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import DivisionByZero
+
 
 class ResidueField:
     """Descriptor for the residue field: GF(p, k) or QQ (p = 0)."""
@@ -65,7 +67,7 @@ class ResidueField:
         num = q.numerator % self.p
         den = q.denominator % self.p
         if den == 0:
-            raise ZeroDivisionError("denominator divisible by p")
+            raise DivisionByZero(f"{q} has a denominator divisible by p = {self.p}")
         return self.from_int(num * pow(den, -1, self.p))
 
     def generator(self) -> "ResidueElement":
@@ -390,15 +392,6 @@ def rpoly_gcd(a, b, field):
         c = a[-1].inverse()
         a = [x * c for x in a]
     return a
-
-
-def rpoly_derivative(coeffs, field):
-    out = []
-    for i, c in enumerate(rpoly_trim(coeffs)):
-        if i == 0:
-            continue
-        out.append(c * field.from_int(i))
-    return rpoly_trim(out)
 
 
 def rpoly_sub(a, b, field):

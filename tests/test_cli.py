@@ -236,6 +236,21 @@ class TestErrorsAndDeterminism:
         assert err["error"] == "Inconclusive"
         assert "message" in err
 
+    def test_denominator_divisible_by_p_exit_3(self, capsys):
+        # 1/3 has no residue in characteristic 3: a typed error, not a crash
+        code, out = run(
+            capsys,
+            "image",
+            "--backend",
+            "laurentfp:p=3",
+            "--map",
+            "z",
+            "--point",
+            '{"t":"II","c":"1/3","logr":"0"}',
+        )
+        assert code == 3
+        assert json.loads(out)["error"] == "DivisionByZero"
+
     def test_deterministic_output(self, capsys):
         argv = [
             "equilibrium",

@@ -12,7 +12,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from berkdyn import Backend, NonzeroMass, PADIC, TypeIAtom
+from berkdyn import (
+    Backend,
+    ExtensionBound,
+    NonzeroMass,
+    PADIC,
+    PrecisionExhausted,
+    TypeIAtom,
+)
 from berkdyn.berkovich import BerkPoint, gromov_product, hyperbolic_distance
 from berkdyn.measures import (
     AtomicMeasure,
@@ -168,7 +175,7 @@ class TestTransport:
             )
             try:
                 up = pullback(R, rho)
-            except Exception:
+            except (ExtensionBound, PrecisionExhausted):
                 continue
             assert up.total_mass == R.degree * rho.total_mass
             assert pushforward(R, up) == rho.scale(R.degree)

@@ -7,7 +7,10 @@ Oracles:
 - metric: degree-1 maps are tree isometries, so hyperbolic distances must be
   preserved exactly;
 - fibers: every reported preimage must map back to the target, multiplicities
-  must sum to the degree.
+  must sum to the degree;
+- pruned fiber descent: disc images against the tree order, with zeros and
+  poles known by construction; Moebius fibers against the inverse map; fibers
+  of 1/P against fibers of the polynomial P.
 """
 
 import random
@@ -26,7 +29,8 @@ from berkdyn import (
     PrecisionExhausted,
 )
 from berkdyn import polys
-from berkdyn.berkovich import BerkPoint, hyperbolic_distance, seminorm_eval
+from berkdyn import ratmap
+from berkdyn.berkovich import BerkPoint, hyperbolic_distance, order_leq, seminorm_eval
 from berkdyn.ratmap import RationalMap
 
 B2 = Backend(PADIC, p=2)
@@ -105,6 +109,39 @@ class TestParser:
     def test_common_factor_cancelled(self):
         R = RationalMap.parse("(z^2 - 1)/(z - 1)", B3)
         assert R.degree == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "z^2/3",
+            "z^3/9+z",
+            "z/2/3",
+            "z^2 /3",
+            "1/2*z",
+            "(z+1)/3/z",
+            "2/3*z^2 - z/4",
+            "-z^2/4 + 1/2",
+            "(z^3/9 + z)/(z^2/2 - 1)",
+        ],
+    )
+    def test_division_against_sympy(self, text):
+        # "/" is always the operator, left-associative like sympy's parse
+        sympy = pytest.importorskip("sympy")
+        from sympy.parsing.sympy_parser import (
+            convert_xor,
+            parse_expr,
+            standard_transformations,
+        )
+
+        z = sympy.Symbol("z")
+        expr = parse_expr(text, transformations=standard_transformations + (convert_xor,))
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        R = RationalMap.parse(text, B5)
+        assert R.degree == max(sympy.degree(num, z), sympy.degree(den, z))
+        for x in range(1, 12):
+            want = expr.subs(z, x)
+            got = R.eval_type1(B5.from_int(x)).value.as_rational()
+            assert got == F(int(want.p), int(want.q))
 
 
 class TestImages:
@@ -295,7 +332,7 @@ class TestPreimages:
             )
             try:
                 pre = R.preimages(T)
-            except Exception:
+            except (ExtensionBound, PrecisionExhausted):
                 continue
             assert sum(m for _, m in pre) == R.degree
             assert len(pre) <= R.topological_degree()
@@ -406,3 +443,164 @@ class TestRepeatedQueries:
             for S, m in fiber:
                 assert m == RationalMap.from_rationals(B3, num, den).local_degree(S)
         assert resolved >= 10
+
+
+def factored_map(bk, rng, n_zeros, n_poles):
+    """lead * prod(z - zero) / prod(z - pole) with distinct rational zeros
+    and poles, so which of them a ball holds is known without the map."""
+    pts = set()
+    while len(pts) < n_zeros + n_poles:
+        pts.add(F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) * bk.p ** rng.randint(0, 1))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    zeros, poles = pts[:n_zeros], pts[n_zeros:]
+    num = [bk.from_int(rng.randint(1, 9))]
+    for x in zeros:
+        num = polys.mul(num, [-bk.from_rational(x), bk.one()])
+    den = [bk.one()]
+    for x in poles:
+        den = polys.mul(den, [-bk.from_rational(x), bk.one()])
+    return RationalMap(num, den), zeros, poles
+
+
+def holds(S, xs):
+    """Does the Berkovich disc below S contain one of the rationals xs?"""
+    return any(order_leq(BerkPoint.type_i(S.backend.from_rational(x)), S) for x in xs)
+
+
+def sub_ball(S, rng):
+    """A random type-II point of the closed Berkovich disc below S."""
+    bk = S.backend
+    shift = bk.from_int(rng.randint(0, 8)) * bk.uniformizer_pow(S.logr)
+    return BerkPoint.type_ii(S.value + shift, S.logr + F(rng.randint(0, 4), rng.choice([1, 2])))
+
+
+def disc_misses(R, S, T):
+    P_a, Q_a = R._recentered(S.value)
+    N = R._cleared_numerator(P_a, Q_a)
+    return R._disc_misses(P_a, Q_a, N, S.logr, T.value, T.logr)
+
+
+class TestFiberPruning:
+    """The fiber search skips a disc when its image cannot hold the target.
+    Oracles: image_point and the tree order, with zeros and poles known by
+    construction, and fibers of maps whose fibers are known otherwise."""
+
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_disc_images_and_pruning_decision(self, bk):
+        rng = random.Random(601)
+        inv = RationalMap.parse("1/z", bk)
+        checked = {"pole-free": 0, "pole-only": 0}
+        while min(checked.values()) < 40:
+            R, zeros, poles = factored_map(bk, rng, rng.randint(1, 2), rng.randint(1, 2))
+            S = BerkPoint.type_ii(
+                bk.from_rational(F(rng.randint(-9, 9), rng.choice([1, 2]))),
+                F(rng.randint(-2, 3), rng.choice([1, 2])),
+            )
+            if not holds(S, poles):
+                kind, chart, to_chart = "pole-free", R, lambda X: X
+            elif not holds(S, zeros):
+                kind, chart, to_chart = "pole-only", R.target_inverted(), inv.image_point
+            else:
+                continue  # a zero and a pole: the image is the whole line
+            image = chart.image_point(S)
+            subs = [sub_ball(S, rng) for _ in range(4)]
+            for sub in subs:
+                assert order_leq(chart.image_point(sub), image)
+            # targets inside the image (images of sub-balls) are never
+            # pruned; random targets are pruned exactly when outside it
+            targets = [R.image_point(sub) for sub in subs] + [
+                BerkPoint.type_ii(
+                    bk.from_int(rng.randint(-9, 9)), F(rng.randint(-3, 5), rng.choice([1, 2]))
+                )
+                for _ in range(4)
+            ]
+            for T in targets:
+                assert disc_misses(R, S, T) == (not order_leq(to_chart(T), image))
+            checked[kind] += 1
+
+    @staticmethod
+    def moebius_cases(bk, polar):
+        """Random (M, T, inverse image of T) with M(z) = (az+b)/(cz+d), c != 0;
+        polar selects the cases whose fiber ball holds the pole of M."""
+        rng = random.Random(607)
+        out = []
+        while len(out) < 40:
+            a, b, c, d = (F(rng.randint(-9, 9)) for _ in range(4))
+            if not c or a * d == b * c:
+                continue
+            M = RationalMap.from_rationals(bk, [b, a], [d, c])
+            M_inv = RationalMap.from_rationals(bk, [-b, d], [a, -c])
+            T = BerkPoint.type_ii(
+                bk.from_rational(F(rng.randint(-9, 9), rng.choice([1, 2, 3]))),
+                F(rng.randint(-3, 4), rng.choice([1, 2])),
+            )
+            S = M_inv.image_point(T)
+            if holds(S, [-d / c]) == polar:
+                out.append((M, T, S))
+        return out
+
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_moebius_fiber_is_inverse_image(self, bk):
+        for M, T, S in self.moebius_cases(bk, polar=False):
+            assert M.preimages(T) == [(S, 1)]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ExtensionBound,
+        reason="known defect: the descent misses a fiber point whose ball holds a pole",
+    )
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_moebius_fiber_through_the_pole(self, bk):
+        for M, T, S in self.moebius_cases(bk, polar=True):
+            assert M.preimages(T) == [(S, 1)]
+
+    @staticmethod
+    def reciprocal_cases(bk, polar):
+        """Random (1/P, T, fiber of 1/T under P) with P split over Q; polar
+        selects the cases where a fiber ball holds a zero of P."""
+        rng = random.Random(613)
+        inv = RationalMap.parse("1/z", bk)
+        out = []
+        while len(out) < 15:
+            Pmap, zeros, _ = factored_map(bk, rng, rng.randint(1, 3), 0)
+            T = BerkPoint.type_ii(
+                bk.from_rational(F(rng.randint(-9, 9), rng.choice([1, 2, 3]))),
+                F(rng.randint(-3, 4), rng.choice([1, 2])),
+            )
+            try:
+                want = Pmap.preimages(inv.image_point(T))
+            except (ExtensionBound, PrecisionExhausted):
+                continue  # no oracle: the polynomial fiber itself is out of reach
+            if any(holds(S, zeros) for S, _ in want) == polar:
+                out.append((Pmap.target_inverted(), T, dict(want)))
+        return out
+
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_reciprocal_of_polynomial(self, bk):
+        for R, T, want in self.reciprocal_cases(bk, polar=False):
+            assert dict(R.preimages(T)) == want
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ExtensionBound,
+        reason="known defect: the descent misses a fiber point whose ball holds a pole",
+    )
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_reciprocal_of_polynomial_through_a_pole(self, bk):
+        for R, T, want in self.reciprocal_cases(bk, polar=True):
+            assert dict(R.preimages(T)) == want
+
+    def test_pole_subtrees_are_not_descended(self, monkeypatch):
+        # without pruning this fiber recenters 993 times, chasing the poles
+        # digit by digit to the precision budget
+        R = RationalMap.parse("(4+5*z)/(-4+z+5*z^2+9*z^3-6*z^4)", B3)
+        T = BerkPoint.type_ii(B3.from_int(-5), 1)
+        calls = []
+        recenter = polys.recenter
+        monkeypatch.setattr(
+            ratmap.polys, "recenter", lambda a, c: calls.append(1) or recenter(a, c)
+        )
+        with pytest.raises(ExtensionBound, match="found multiplicity 2 of 4"):
+            R.preimages(T)
+        assert 0 < len(calls) <= 100
