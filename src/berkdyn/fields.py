@@ -344,6 +344,8 @@ class FieldElement:
             err = (a - bk.one()).valuation_lower_bound()
             while err < budget:
                 x = x + x - x * x * a
+                # the term cap may have cut x below the budget
+                budget = _min_prec(budget, x.prec)
                 x = FieldElement(bk, x.terms, None).truncate_below(budget)
                 err *= 2
             out = x * lead_inv
@@ -362,8 +364,12 @@ class FieldElement:
                 out = FieldElement(bk, out.terms, -v + rel)
             return out
         nsteps = int(budget / uval) + 1
+        minus_u = -u
         for _ in range(nsteps):
-            power = power * (-u)
+            # terms of power at or above the budget (val(u) > 0) can never
+            # reach a term of acc below it
+            power = power * minus_u
+            power = FieldElement(bk, power.terms, _min_prec(power.prec, budget))
             acc = acc + power
         out = acc * lead
         return FieldElement(bk, out.terms, _min_prec(out.prec, -v + budget))
@@ -419,22 +425,26 @@ class FieldElement:
             n, d = v.numerator, v.denominator
             terms = {(i, e): c for (i, e), c in self.terms.items() if i * d < n * e}
             return FieldElement(bk, terms, None)
+        p, vn, vd = bk.p, v.numerator, v.denominator
         terms = {}
         for (i, e), r in self.terms.items():
-            off = Fraction(i, e)
-            cut = v - off  # keep p-adic digits of r strictly below this
-            a = _vp(r, bk.p)
-            if a >= cut:
-                continue
-            m = math.ceil(cut) - a
+            # keep the p-adic digits of r strictly below v - i/e: there are
+            # m = ceil(v - i/e) - v_p(r) of them (computed in integers)
+            a = _vp(r, p)
+            m = -((i * vd - vn * e) // (vd * e)) - a
             if m <= 0:
                 continue
-            # r = p^a * n/d with d coprime to p; truncated digits form an integer
-            unit = r / Fraction(bk.p) ** a
-            n, d = unit.numerator, unit.denominator
-            w = (n * pow(d, -1, bk.p ** m)) % (bk.p ** m)
+            # r = p^a * n/d with n, d coprime to p; the kept digits of n/d
+            # form an integer w < p^m
+            n, d = r.numerator, r.denominator
+            if a >= 0:
+                n //= p ** a
+            else:
+                d //= p ** -a
+            mod = p ** m
+            w = n * pow(d, -1, mod) % mod
             if w:
-                terms[(i, e)] = Fraction(w) * Fraction(bk.p) ** a
+                terms[(i, e)] = Fraction(w * p ** a) if a >= 0 else Fraction(w, p ** -a)
         return FieldElement(bk, terms, None)
 
     def as_rational(self) -> Fraction:

@@ -125,6 +125,10 @@ def squarefree_roots(F, prec, partial=False):
     if d < 1:
         return []
     prec = Fraction(prec)
+    if d == 1 and F[0].is_exact and F[1].is_exact:
+        # one exact division; Newton steps on truncated iterates would only
+        # reach it when its expansion ends below prec
+        return [-F[0] / F[1]]
     roots = []
     # work items: (approximation z, digit depth reached, residue multiplicity)
     stack = [(bk.zero(), -INF, d)]
@@ -263,7 +267,11 @@ def _finalize(F, z: FieldElement, prec: Fraction) -> FieldElement:
 
 
 def _newton_refine(F, z, prec):
-    """Quadratic refinement once the simple-root (Hensel) condition holds."""
+    """Quadratic refinement once the simple-root (Hensel) condition holds.
+
+    Each iterate is truncated below `prec`: the answer depends only on z mod
+    pi^prec, and untruncated exact steps double the size of z's rationals.
+    An exact iterate that is the root is returned exact."""
     for _ in range(200):
         c0, c1 = _taylor_head(F, z)
         if c0.is_zero_to_precision() and c0.is_exact:
@@ -272,6 +280,8 @@ def _newton_refine(F, z, prec):
         if c0.is_zero_to_precision() or c0.valuation() - v1 >= prec:
             return _finalize(F, z, prec)
         z = z - c0 / c1
+        if z.is_exact:
+            z = z.truncate_below(prec)
     raise PrecisionExhausted("Newton refinement did not reach target precision")
 
 

@@ -5,6 +5,7 @@ numerator/denominator); randomized properties use a fixed seed so failures
 are reproducible.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -215,6 +216,33 @@ class TestArithmetic:
         y = B2.uniformizer_pow(F(3, 4)) + B2.from_int(5)
         assert (y * y.inverse()) == B2.one()
 
+    @pytest.mark.parametrize("bk", [B2, B3])
+    @pytest.mark.parametrize("e", [9, 47])
+    def test_padic_newton_inverse_claims_no_more_than_it_has(self, bk, e):
+        # e > 8 takes the Newton path; for e = 47 the 40-term cap cuts the
+        # inverse at 40/47, and its precision must say so
+        x = bk.one() + bk.uniformizer_pow(F(1, e))
+        y = x.inverse()
+        assert not y.is_exact
+        assert (x * y - bk.one()).valuation_lower_bound() >= y.prec
+
+    @pytest.mark.parametrize("bk", [BQ, BF3])
+    def test_series_binomial_inverse_closed_form(self, bk):
+        # 1/(c0 t^a + c1 t^(a+b)) = sum_k (-c1)^k / c0^(k+1) t^(kb-a) for
+        # kb < 40: at most 40 terms, so known to the whole budget
+        rng = random.Random(19)
+        for _ in range(30):
+            a = F(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+            b = rng.randint(1, 9)
+            c0, c1 = rng.choice([1, 2]), rng.choice([-1, 1, 2])
+            x = bk.from_rational(c0) * bk.uniformizer_pow(a) + bk.from_rational(c1) * bk.uniformizer_pow(a + b)
+            want = bk.zero()
+            for k in range(0, (bk.precision - 1) // b + 1):
+                want = want + bk.from_rational(F((-c1) ** k, c0 ** (k + 1))) * bk.uniformizer_pow(k * b - a)
+            y = x.inverse()
+            assert y.prec == bk.precision - a
+            assert y == fl.FieldElement(bk, want.terms, y.prec)
+
 
 class TestReduce:
     def test_examples(self):
@@ -347,9 +375,13 @@ class TestBackendSpec:
         for bk in (B2, B3):
             for _ in range(100):
                 x = random_element(bk, rng)
-                v = F(rng.randint(0, 6), rng.choice([1, 2]))
+                v = F(rng.randint(-4, 6), rng.choice([1, 2, 3]))
                 t = x.truncate_below(v)
                 diff = x - t
                 assert diff.valuation_lower_bound() >= v
                 # truncating twice changes nothing
                 assert t.truncate_below(v) == t
+                # each slot holds p-adic digits 0..p-1 below v - i/e only
+                for (i, e), c in t.terms.items():
+                    assert 0 < c < F(bk.p) ** math.ceil(v - F(i, e))
+                    assert c.denominator == bk.p ** -min(brute_valuation(c, bk.p), 0)

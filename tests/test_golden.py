@@ -25,6 +25,12 @@ COMMANDS = {
         "preimages", "--backend", "padic:p=2", "--map", "(z^2 - z^4)/2",
         "--point", '{"t":"II","c":"1","logr":"1/2"}',
     ],
+    # Type-I fiber refined by Newton steps, with large-height roots.
+    "preimages-newton-padic3": [
+        "preimages", "--backend", "padic:p=3",
+        "--map", "(z^4+2*z^3-5*z^2+6*z)/(6-6*z)",
+        "--point", '{"t":"I","v":"-4"}',
+    ],
     "equilibrium": [
         "equilibrium", "--backend", "padic:p=3", "--map", "(z^5 - 243)/z^2",
         "--iters", "4", "--partition", "residue:depth=1",

@@ -1,12 +1,13 @@
 """Root-finder tests.  Oracle: build polynomials as explicit products of
 linear factors with known roots, then ask the solver to recover them."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from berkdyn import Backend, ExtensionBound, PADIC, EQUICHAR0, EQUICHARP
+from berkdyn import Backend, ExtensionBound, PADIC, PrecisionExhausted, EQUICHAR0, EQUICHARP
 from berkdyn import polys
 from berkdyn.roots import pth_root_element, roots_with_mult
 
@@ -91,6 +92,135 @@ class TestTowerRoots:
         P = polys.mul([-r, B5.one()], polys.from_rationals(B5, [-1, 1]))
         got = roots_with_mult(P)
         assert sorted(str(x) for x, _ in got) == sorted([str(r), str(B5.one())])
+
+
+# -- oracle on random inputs ---------------------------------------------------
+# Roots are checked in Q(w), w = p^(1/E), with w^E = p: an element is the list
+# of its Fraction coefficients of 1, w, ..., w^(E-1).  No FieldElement
+# arithmetic is involved.
+
+
+def vp(q, p):
+    n, d, v = q.numerator, q.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def tower_coeffs(x, E):
+    out = [F(0)] * E
+    for (i, e), c in x.terms.items():
+        out[i * (E // e)] += c
+    return out
+
+
+def tower_mul(a, b, p):
+    E = len(a)
+    out = [F(0)] * E
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                k, c = i + j, x * y
+                if k >= E:
+                    k, c = k - E, c * p
+                out[k] += c
+    return out
+
+
+def tower_val(a, p):
+    """Valuation of sum a_i w^i: its terms have distinct valuations mod 1."""
+    return min((vp(c, p) + F(i, len(a)) for i, c in enumerate(a) if c), default=math.inf)
+
+
+def oracle_cases(rng, n_random=50, n_products=30):
+    """(coefficients ascending, whether the polynomial must split)."""
+    cases = []
+    for _ in range(n_random):
+        d = rng.randint(1, 4)
+        lead = rng.choice([-1, 1]) * rng.randint(1, 30)
+        cases.append(([F(rng.randint(-30, 30)) for _ in range(d)] + [F(lead)], False))
+    for _ in range(n_products):
+        coeffs = [F(rng.randint(1, 9))]
+        for _ in range(rng.randint(2, 3)):
+            # a root n/p^k with 0 <= n has a finite expansion
+            den = rng.choice([1, 4, 9, 25, rng.randint(1, 10**12)])
+            r = F(rng.randint(-10**12, 10**12), den)
+            # multiply by (z - r)
+            coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
+        cases.append((coeffs, True))
+    return cases
+
+
+# Random inputs whose descent runs out of terms (the term cap on a wildly
+# ramified descent, a known defect) and raises PrecisionExhausted where the
+# answer is the roots or ExtensionBound.
+AMBIGUOUS = {
+    2: {(6, -26, -13, 3, -24), (-26, 30, 13), (18, 20, 23), (-25, 14, -2),
+        (-14, -8, 15, -2), (25, 2, 6), (-5, 20, 19)},
+    3: {(5, 18, -18, -15)},
+    5: set(),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_roots_against_fraction_oracle(p):
+    bk = Backend(PADIC, p=p)
+    rng = random.Random(f"roots-oracle:{p}")
+    ambiguous = set()
+    for coeffs, must_split in oracle_cases(rng):
+        d = len(coeffs) - 1
+        try:
+            got = roots_with_mult(polys.from_rationals(bk, coeffs))
+        except ExtensionBound:
+            assert not must_split, coeffs
+            continue
+        except PrecisionExhausted:
+            ambiguous.add(tuple(int(c) for c in coeffs))
+            continue
+        assert sum(m for _, m in got) == d
+        E = 1
+        for r, _ in got:
+            for _, e in r.terms:
+                E = math.lcm(E, e)
+        flat = []
+        for r, m in got:
+            a = tower_coeffs(r, E)
+            if r.is_exact:
+                value = [F(0)] * E
+                for c in reversed(coeffs):
+                    value = tower_mul(value, a, p)
+                    value[0] += c
+                assert not any(value), (coeffs, r)
+            flat += [(a, math.inf if r.is_exact else r.prec)] * m
+        # Vieta: prod (z - r) against coeffs / lead, each coefficient to the
+        # precision its products of roots carry
+        prod = [[F(1)] + [F(0)] * (E - 1)]
+        for a, _ in flat:
+            shifted = [[F(0)] * E] + prod
+            scaled = [tower_mul(c, a, p) for c in prod] + [[F(0)] * E]
+            prod = [[x - y for x, y in zip(s, t)] for s, t in zip(shifted, scaled)]
+        worst = min(prec for _, prec in flat)
+        vals = sorted(tower_val(a, p) for a, _ in flat)
+        for k in range(d):
+            diff = list(prod[k])
+            diff[0] -= coeffs[k] / coeffs[d]
+            bound = worst + sum(vals[: d - k - 1])
+            assert tower_val(diff, p) >= bound, (coeffs, k)
+    assert ambiguous == AMBIGUOUS[p]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PrecisionExhausted,
+    reason="known defect: the term cap on a wildly ramified descent",
+)
+def test_nonsplit_quadratic_over_2adics_is_extension_bound():
+    # discriminant 4 * 563 with 563 = 3 mod 8: the roots need sqrt(3), which
+    # no Q_2(2^(1/e)) holds
+    with pytest.raises(ExtensionBound):
+        roots_with_mult(polys.from_rationals(B2, [-26, 30, 13]))
 
 
 class TestApproximateRoots:
