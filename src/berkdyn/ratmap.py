@@ -1,14 +1,18 @@
 """Rational maps acting on the Berkovich projective line.
 
 A map is a coprime pair of polynomials (numerator, denominator) over one of
-the valued-field backends.  The action on type-II points is computed exactly:
-the image of a ball B(a, r) has center R(a) and a log-radius read off the
-Gauss valuations of the recentered numerator and denominator; balls containing
-a pole are handled by maximizing the image valuation over candidate centers
-digit by digit.
+the valued-field backends.  The action on type-II points is computed exactly
+by one rule, which holds whether or not the ball contains a pole: the
+seminorm of R - w on the ball B(a, v) is phi(w) = S_v(P - w*Q) - S_v(Q), and
+R maps the ball onto zeta(b, u) exactly when u is the maximum of phi and b
+attains it.  The image center is found digit by digit from w = R(a), or 0
+when a is a pole (R(a) attains the maximum when the ball holds no pole), and
+the residue pair of (P - b*Q, Q) along the ball, reduced, gives the local
+degree.
 
 Fibers of type-II points are found by a breadth-first digit descent along the
-roots of (num - b*den)*den.  A node D(z, r) of the descent is skipped, with
+roots of (num - b*den)*den; the candidate radii at a center z are the t with
+S_t(P_z - b*Q_z) - S_t(Q_z) = u.  A node D(z, r) of the descent is skipped, with
 its whole subtree, when its image provably misses the target zeta(b, u): a
 closed disc without a pole maps onto a closed disc D(b', u'), so it misses
 when u' > u or val(b - b') < u'; a disc with a pole but no zero is tested the
@@ -165,27 +169,48 @@ class RationalMap:
             return self.source_inverted().eval_type1(self.backend.zero())
         if S.is_type_i:
             return self.eval_type1(S.value)
-        # the fiber search asks for the local degree of each ball whose image
-        # it has just matched, and the local degree needs that image again
-        slot = self._image_slot
-        if slot is not None and slot[0] == S:
-            return slot[1]
-        T = self._ball_image(S.value, S.logr)
-        self._image_slot = (S, T)
-        return T
+        return self._type2_image(S)[0]
 
-    def _ball_image(self, a, v) -> BerkPoint:
-        """The image of the ball B(a, v)."""
+    def _type2_image(self, S: BerkPoint):
+        """(R(S), residue pair) of a type-II point.  The fiber search asks for
+        the local degree of each ball whose image it has just matched, and
+        the local degree reads that pair, so the last point is kept."""
+        slot = self._image_slot
+        if slot is None or slot[0] != S:
+            slot = self._image_slot = (S, *self._reduction(S.value, S.logr))
+        return slot[1:]
+
+    def _reduction(self, a, v):
+        """The image zeta(w, phi) of the ball B(a, v) and the residue pair
+        (res(P - w*Q), res(Q)) along the ball, whose reduced quotient is the
+        reduction of R there.  w maximizes phi(w) = S(P - w*Q) - S(Q), the
+        seminorm of R - w on the ball, whose maximum is the image radius;
+        while phi(w) is below it, R - w reduces to a constant d and the next
+        digit of w is d.  In a ball without a pole the start w = R(a) is
+        already optimal."""
+        bk = self.backend
         P_a, Q_a = self._recentered(a)
-        if self._ball_contains_pole(Q_a, v):
-            return self._pole_ball_image(P_a, Q_a, v, a)
-        b = (P_a[0] if P_a else self.backend.zero()) / Q_a[0]
-        N = polys.sub(P_a, polys.scale(Q_a, b))
-        N = [self.backend.zero()] + N[1:]  # constant term vanishes by design
-        u = polys.gauss_valuation(N, v) - polys.gauss_valuation(Q_a, v)
-        if u == INF:
-            raise PrecisionExhausted("image radius not determined (constant map?)")
-        return BerkPoint.type_ii(b, u)
+        q0 = Q_a[0]
+        if q0.is_zero_to_precision():
+            w, A = bk.zero(), P_a  # a pole at the center: start at 0
+        else:
+            w = (P_a[0] if P_a else bk.zero()) / q0
+            A = polys.sub(P_a, polys.scale(Q_a, w))
+            A = [bk.zero()] + A[1:]  # constant term vanishes by design
+        s_q = polys.gauss_valuation(Q_a, v)
+        res_q = ball_residue_poly(Q_a, v)
+        for _ in range(_MAX_CENTER_STEPS):
+            phi = polys.gauss_valuation(A, v) - s_q
+            if phi == INF:
+                raise PrecisionExhausted("image radius not determined (constant map?)")
+            res_a, res_q = _align_res_pair(ball_residue_poly(A, v), res_q)
+            d = _proportionality(res_a, res_q)
+            if d is None:
+                return BerkPoint.type_ii(w, phi), (res_a, res_q)
+            step = lift_residue(bk, d) * bk.uniformizer_pow(phi)
+            w = w + step
+            A = polys.sub(A, polys.scale(Q_a, step))
+        raise PrecisionExhausted("image center descent exceeded its budget")
 
     @staticmethod
     def _ball_contains_pole(Q_a, v) -> bool:
@@ -197,35 +222,6 @@ class RationalMap:
             raise PrecisionExhausted("denominator at center known only approximately")
         tail = polys.gauss_valuation([Q_a[0].backend.zero()] + Q_a[1:], v)
         return tail <= q0.valuation()
-
-    @staticmethod
-    def _cleared_numerator(P_z, Q_z):
-        """q0*P_z - p0*Q_z with its constant term zeroed, for (P_z, Q_z) a
-        pair recentered at z: R - R(z) with denominators cleared, whose Gauss
-        valuation is val(q0) above that of P_z - R(z)*Q_z."""
-        if not P_z:
-            return []
-        N = polys.sub(polys.scale(P_z, Q_z[0]), polys.scale(Q_z, P_z[0]))
-        return [Q_z[0].backend.zero()] + N[1:]
-
-    def _pole_ball_image(self, P_a, Q_a, v, a) -> BerkPoint:
-        """Image of a ball containing a pole: find the target center w
-        maximizing the image valuation phi(w) = S(P - w*Q) - S(Q)."""
-        bk = self.backend
-        denom_val = polys.gauss_valuation(Q_a, v)
-        res_q = ball_residue_poly(Q_a, v)
-        w = bk.zero()
-        for _ in range(_MAX_CENTER_STEPS):
-            A = polys.sub(P_a, polys.scale(Q_a, w))
-            if polys.trim(A) == []:
-                raise DivisionByZero("map is constant")
-            phi = polys.gauss_valuation(A, v) - denom_val
-            res_a = ball_residue_poly(A, v)
-            d = _proportionality(res_a, res_q)
-            if d is None:
-                return BerkPoint.type_ii(w, phi)
-            w = w + lift_residue(bk, d) * bk.uniformizer_pow(phi)
-        raise PrecisionExhausted("image center descent exceeded its budget")
 
     # -- degrees --------------------------------------------------------
 
@@ -272,14 +268,7 @@ class RationalMap:
         raise PrecisionExhausted("no nonvanishing derivative found")
 
     def _local_degree_type2(self, S: BerkPoint) -> int:
-        a, v = S.value, S.logr
-        T = self.image_point(S)
-        b = T.value
-        P_a, Q_a = self._recentered(a)
-        N = polys.sub(P_a, polys.scale(Q_a, b))
-        res_n = ball_residue_poly(N, v)
-        res_q = ball_residue_poly(Q_a, v)
-        res_n, res_q = _align_res_pair(res_n, res_q)
+        res_n, res_q = self._type2_image(S)[1]
         field = res_n[0].field
         g = rs.rpoly_gcd(res_n, res_q, field)
         if rs.rpoly_degree(g) >= 1:
@@ -346,15 +335,17 @@ class RationalMap:
             if steps > _MAX_CENTER_STEPS:
                 raise PrecisionExhausted("fiber descent exceeded its budget")
             P_z, Q_z = self._recentered(z)
-            N = self._cleared_numerator(P_z, Q_z)
             if depth != -INF:
                 try:
-                    if self._disc_misses(P_z, Q_z, N, depth, b, u):
+                    if self._disc_misses(P_z, Q_z, depth, b, u):
                         continue
                 except PrecisionExhausted:
                     pass  # undecided: search the disc
             lo = depth if depth != -INF else lo_cap
-            for t in self._candidate_radii(P_z, Q_z, N, u, lo, hi):
+            # R(B(z, t)) = zeta(b, u) makes the seminorm of R - b on the ball,
+            # S_t(P_z - b*Q_z) - S_t(Q_z), equal to u, poles or not
+            A_z = polys.sub(P_z, polys.scale(Q_z, b))
+            for t in polys.solve_seminorm_ratio(A_z, Q_z, u, lo, hi):
                 cand = BerkPoint.type_ii(z, t)
                 if cand in found:
                     continue
@@ -394,27 +385,19 @@ class RationalMap:
                     continue  # that branch's fiber points are unrepresentable
         return [(pt, found[pt]) for pt in order]
 
-    @staticmethod
-    def _candidate_radii(P_z, Q_z, N, u, lo, hi):
-        """Radii t for which B(z, t) could map onto the target diameter u;
-        (P_z, Q_z) is the pair recentered at z, N its cleared numerator."""
-        qz = Q_z[0]
-        if qz.is_zero_to_precision() and qz.is_exact:
-            # pole at the candidate center: work through 1/R
-            return polys.solve_seminorm_ratio(Q_z, P_z, -u, lo, hi)
-        # N's Gauss valuation is val(qz) above that of P - (pz/qz)*Q
-        return polys.solve_seminorm_ratio(N, Q_z, u + qz.valuation(), lo, hi)
-
-    def _disc_misses(self, P_z, Q_z, N, depth, b, u) -> bool:
+    def _disc_misses(self, P_z, Q_z, depth, b, u) -> bool:
         """Is the target zeta(b, u) provably outside the image of
         the closed Berkovich disc D(z, depth)?  A disc without a pole maps
         onto the closed disc D(R(z), u') with u' = S(N) - 2 val q0; a disc
         with a pole but no zero maps onto the inverse of such a disc under
-        1/R, which is tested against the inverted target.  Raises
-        PrecisionExhausted when the data cannot decide."""
-        p0 = P_z[0] if P_z else self.backend.zero()
+        1/R, which is tested against the inverted target.  N = q0*P_z - p0*Q_z
+        is R - R(z) with denominators cleared.  Raises PrecisionExhausted when
+        the data cannot decide."""
+        bk = self.backend
+        p0 = P_z[0] if P_z else bk.zero()
         q0 = Q_z[0]
-        g = polys.gauss_valuation(N, depth)
+        N = polys.sub(polys.scale(P_z, q0), polys.scale(Q_z, p0))
+        g = polys.gauss_valuation([bk.zero()] + N[1:], depth)
         if not self._ball_contains_pole(Q_z, depth):
             # D(b', u') with b' = p0/q0: val(b - b') = val(b q0 - p0) - val q0
             vq = q0.valuation()
@@ -504,8 +487,8 @@ def _align_res_pair(a, b):
 
 
 def _proportionality(res_a, res_q):
-    """If res_a == d * res_q for a constant residue d, return d, else None."""
-    res_a, res_q = _align_res_pair(res_a, res_q)
+    """If res_a == d * res_q for a constant residue d, return d, else None;
+    the two lists are over one field (`_align_res_pair`)."""
     n = max(len(res_a), len(res_q))
     field = (res_a + res_q)[0].field
     za = list(res_a) + [field.zero()] * (n - len(res_a))

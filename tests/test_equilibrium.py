@@ -109,13 +109,27 @@ class TestApprox:
 
     def test_invariance_defect_reports_dropped_mass(self):
         # fibers of these maps leave the tower in part, so partial chains
-        # lose mass; the defect of the last step is exactly that loss
-        for num, den, n in [([8], [9, -8, -6], 1), ([-3], [-1, -7, -5, 1], 2)]:
+        # lose mass; the defect of the last step is exactly that loss.  The
+        # fiber of zeta(0, 1) under z^2+1 is centered at the square roots
+        # of -1, which lie in F_9 and not in F_3: all of its mass drops
+        cases = [
+            ([1, 0, 1], [1], BerkPoint.type_ii(B3.zero(), 1), 1, 1),
+            ([-3], [-1, -7, -5, 1], BerkPoint.canonical(B3), 2, F(2, 9)),
+        ]
+        for num, den, start, n, want in cases:
             R = RationalMap.from_rationals(B3, num, den)
-            approx = equilibrium_approx(R, BerkPoint.canonical(B3), n, partial=True)
+            approx = equilibrium_approx(R, start, n, partial=True)
             dropped = approx.levels[n - 1].total_mass - approx.measure.total_mass
-            assert dropped > 0
+            assert dropped == want
             assert invariance_defect(approx) == dropped
+
+    def test_fiber_through_a_pole_keeps_its_mass(self):
+        # the Gauss point's fiber under 8/(9-8z-6z^2) passes through balls
+        # that hold a pole; all of it is representable
+        R = RationalMap.from_rationals(B3, [8], [9, -8, -6])
+        approx = equilibrium_approx(R, BerkPoint.canonical(B3), 1, partial=True)
+        assert approx.measure.total_mass == 1
+        assert invariance_defect(approx) == 0
 
     def test_invariance_defect_rejects_approximate_type_i_atoms(self):
         # the roots of z^2 = 7 in Z_3 are known only to the working precision

@@ -36,6 +36,8 @@ COMMANDS = {
         "--iters", "4", "--partition", "residue:depth=1",
     ],
     "detect-pgr": ["detect-pgr", "--backend", "padic:p=3", "--map", "z^2+1"],
+    # Good reduction at the Gauss point, whose fiber holds the pole -3.
+    "detect-pgr-pole": ["detect-pgr", "--backend", "padic:p=3", "--map", "1/(z+3)^2"],
     "entropy-bounds": ["entropy-bounds", "--backend", "padic:p=3", "--map", "z^2+1"],
     "skeleton": [
         "skeleton", "--example", "R1",

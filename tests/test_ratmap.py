@@ -10,7 +10,8 @@ Oracles:
   must sum to the degree;
 - pruned fiber descent: disc images against the tree order, with zeros and
   poles known by construction; Moebius fibers against the inverse map; fibers
-  of 1/P against fibers of the polynomial P.
+  of 1/P against fibers of the polynomial P; fibers of R against fibers of
+  1/R over the inverted target.
 """
 
 import random
@@ -31,6 +32,7 @@ from berkdyn import (
 from berkdyn import polys
 from berkdyn import ratmap
 from berkdyn.berkovich import BerkPoint, hyperbolic_distance, order_leq, seminorm_eval
+from berkdyn.measures import AtomicMeasure, pushforward
 from berkdyn.ratmap import RationalMap
 
 B2 = Backend(PADIC, p=2)
@@ -477,8 +479,7 @@ def sub_ball(S, rng):
 
 def disc_misses(R, S, T):
     P_a, Q_a = R._recentered(S.value)
-    N = R._cleared_numerator(P_a, Q_a)
-    return R._disc_misses(P_a, Q_a, N, S.logr, T.value, T.logr)
+    return R._disc_misses(P_a, Q_a, S.logr, T.value, T.logr)
 
 
 class TestFiberPruning:
@@ -545,11 +546,6 @@ class TestFiberPruning:
         for M, T, S in self.moebius_cases(bk, polar=False):
             assert M.preimages(T) == [(S, 1)]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ExtensionBound,
-        reason="known defect: the descent misses a fiber point whose ball holds a pole",
-    )
     @pytest.mark.parametrize("bk", [B2, B3])
     def test_moebius_fiber_through_the_pole(self, bk):
         for M, T, S in self.moebius_cases(bk, polar=True):
@@ -581,15 +577,56 @@ class TestFiberPruning:
         for R, T, want in self.reciprocal_cases(bk, polar=False):
             assert dict(R.preimages(T)) == want
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ExtensionBound,
-        reason="known defect: the descent misses a fiber point whose ball holds a pole",
-    )
     @pytest.mark.parametrize("bk", [B2, B3])
     def test_reciprocal_of_polynomial_through_a_pole(self, bk):
         for R, T, want in self.reciprocal_cases(bk, polar=True):
             assert dict(R.preimages(T)) == want
+
+    def test_gauss_fiber_through_a_pole(self):
+        # 1/(z+3) reduces to 1/z, so the Gauss point is its own fiber,
+        # although the Gauss ball holds the pole -3
+        R = RationalMap.parse("1/(z+3)", B3)
+        gauss = BerkPoint.canonical(B3)
+        assert R.preimages(gauss) == [(gauss, 1)]
+
+    def test_fibers_agree_in_both_target_charts(self):
+        # criterion 06's corpus (seed 6001), each map as drawn and conjugated
+        # by z -> -z: the fiber of T under R is the fiber of 1/T under 1/R,
+        # whether the descent meets the poles of R or the zeros; and a
+        # resolved fiber pushes forward to deg * delta_T
+        rng = random.Random(6001)
+        inv = RationalMap.parse("1/z", B3)
+
+        def fiber(R, T):
+            try:
+                return dict(R.preimages(T))
+            except (ExtensionBound, PrecisionExhausted):
+                return None
+
+        items = []
+        while len(items) < 2 * 55:
+            num = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            den = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            if not any(num) or not any(den):
+                continue
+            if RationalMap.from_rationals(B3, num, den).degree < 1:
+                continue
+            c, logr = rng.randint(-6, 6), F(rng.randint(-2, 4))
+            # -R(-z), the conjugate by z -> -z, takes the target zeta(-c, r)
+            neg_num = [-x if i % 2 == 0 else x for i, x in enumerate(num)]
+            neg_den = [x if i % 2 == 0 else -x for i, x in enumerate(den)]
+            for n, d, b in [(num, den, c), (neg_num, neg_den, -c)]:
+                items.append((n, d, BerkPoint.type_ii(B3.from_int(b), logr)))
+        resolved = 0
+        for num, den, T in items:
+            R = RationalMap.from_rationals(B3, num, den)
+            got = fiber(R, T)
+            assert got == fiber(R.target_inverted(), inv.image_point(T)), (num, den, T)
+            if got is not None:
+                resolved += 1
+                pushed = pushforward(R, AtomicMeasure(got.items()))
+                assert pushed == AtomicMeasure.dirac(T, R.degree)
+        assert resolved >= 54
 
     def test_pole_subtrees_are_not_descended(self, monkeypatch):
         # without pruning this fiber recenters 993 times, chasing the poles
