@@ -22,15 +22,18 @@ from .roots import roots_with_mult
 
 class EquilibriumApprox:
     """The chain of normalized pullbacks deg^(-n) (R*)^n [base], kept at all
-    intermediate levels for invariance diagnostics."""
+    intermediate levels for invariance diagnostics.  degrees maps atoms of
+    the last level to their local degree under map, the multiplicity the
+    fiber search gave them; it may leave atoms out (it is empty at n = 0)."""
 
-    __slots__ = ("map", "base", "n", "levels")
+    __slots__ = ("map", "base", "n", "levels", "degrees")
 
-    def __init__(self, R, base: BerkPoint, n: int, levels):
+    def __init__(self, R, base: BerkPoint, n: int, levels, degrees):
         self.map = R
         self.base = base
         self.n = n
         self.levels = levels
+        self.degrees = degrees
 
     @property
     def measure(self) -> AtomicMeasure:
@@ -43,9 +46,17 @@ def equilibrium_approx(R, base: BerkPoint, n: int, partial=False) -> Equilibrium
         raise ParamDomain("equilibrium approximation needs degree >= 2")
     d = Fraction(R.degree)
     levels = [AtomicMeasure.dirac(base)]
+    degrees = {}
     for _ in range(n):
-        levels.append(pullback(R, levels[-1], partial=partial).scale(1 / d))
-    return EquilibriumApprox(R, base, n, levels)
+        # pullback(R, delta_p) is the sum of deg_q * delta_q over the fiber
+        # of p: its masses are the local degrees of the next level's atoms
+        atoms, degrees = [], {}
+        for p, m in levels[-1].atoms:
+            fiber = pullback(R, AtomicMeasure.dirac(p), partial=partial)
+            degrees.update((q, int(deg)) for q, deg in fiber.atoms)
+            atoms += fiber.scale(m / d).atoms
+        levels.append(AtomicMeasure(atoms))
+    return EquilibriumApprox(R, base, n, levels, degrees)
 
 
 def invariance_defect(approx: EquilibriumApprox) -> Fraction:
@@ -170,10 +181,13 @@ def holder_probe(approx: EquilibriumApprox, samples):
 
 
 def mean_degree(R, approx: EquilibriumApprox) -> float:
-    """Geometric mean of the local degree against the approximate measure."""
+    """Geometric mean of the local degree against the approximate measure.
+    An atom whose degree the chain of R kept is not asked again."""
+    kept = approx.degrees if R is approx.map else {}
     acc = 0.0
     for p, m in approx.measure.atoms:
-        acc += float(m) * math.log(R.local_degree(p))
+        deg = kept[p] if p in kept else R.local_degree(p)
+        acc += float(m) * math.log(deg)
     return math.exp(acc)
 
 

@@ -59,10 +59,19 @@ def mul(a, b):
         return []
     bk = _backend(a, b)
     out = [bk.zero()] * (len(a) + len(b) - 1)
+    # a product with an exact zero factor is an exact zero and adds nothing
+    b_terms = [(j, y) for j, y in enumerate(b) if not is_exact_zero(y)]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
+        if is_exact_zero(x):
+            continue
+        for j, y in b_terms:
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def is_exact_zero(c):
+    """Zero with no precision bound: not merely zero to working precision."""
+    return not c.terms and c.prec is None
 
 
 def scale(a, c: FieldElement):
@@ -100,6 +109,8 @@ def compose(a, b):
 
 def recenter(a, center: FieldElement):
     """Coefficients of P(center + h) via repeated synthetic division."""
+    if is_exact_zero(center):
+        return list(a)  # the division by h leaves every coefficient as it is
     work = list(a)
     out = []
     for _ in range(len(a)):
@@ -211,19 +222,20 @@ def newton_polygon(coeffs):
 
 def gauss_valuation(coeffs, t):
     """min_i (valuation(c_i) + i*t) — the seminorm valuation of the
-    polynomial on the ball of log-radius t centered at 0."""
-    best = INF
+    polynomial on the ball of log-radius t centered at 0.  A coefficient
+    known only to be zero to precision prec counts when prec + i*t lies below
+    the minimum over the known ones."""
+    best = unknown = INF
     for i, c in enumerate(coeffs):
-        v = c.valuation_lower_bound()
         if c.is_zero_to_precision():
-            if c.is_exact:
-                continue
-            if v + i * t < best:
-                raise PrecisionExhausted("seminorm dominated by an unknown coefficient")
+            if not c.is_exact:
+                unknown = min(unknown, c.prec + i * t)
             continue
         val = c.valuation() + i * t
         if val < best:
             best = val
+    if unknown < best:
+        raise PrecisionExhausted("seminorm dominated by an unknown coefficient")
     return best
 
 

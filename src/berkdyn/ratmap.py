@@ -191,19 +191,22 @@ class RationalMap:
         bk = self.backend
         P_a, Q_a = self._recentered(a)
         q0 = Q_a[0]
-        if q0.is_zero_to_precision():
-            w, A = bk.zero(), P_a  # a pole at the center: start at 0
+        p0 = P_a[0] if P_a else bk.zero()
+        if q0.is_zero_to_precision() or polys.is_exact_zero(p0):
+            # a pole at the center: start at 0; R(a) = 0: A = P_a already
+            w, A = bk.zero(), P_a
         else:
-            w = (P_a[0] if P_a else bk.zero()) / q0
+            w = p0 / q0
             A = polys.sub(P_a, polys.scale(Q_a, w))
             A = [bk.zero()] + A[1:]  # constant term vanishes by design
         s_q = polys.gauss_valuation(Q_a, v)
-        res_q = ball_residue_poly(Q_a, v)
+        res_q = ball_residue_poly(Q_a, v, s_q)
         for _ in range(_MAX_CENTER_STEPS):
-            phi = polys.gauss_valuation(A, v) - s_q
+            s_a = polys.gauss_valuation(A, v)
+            phi = s_a - s_q
             if phi == INF:
                 raise PrecisionExhausted("image radius not determined (constant map?)")
-            res_a, res_q = _align_res_pair(ball_residue_poly(A, v), res_q)
+            res_a, res_q = _align_res_pair(ball_residue_poly(A, v, s_a), res_q)
             d = _proportionality(res_a, res_q)
             if d is None:
                 return BerkPoint.type_ii(w, phi), (res_a, res_q)

@@ -64,14 +64,13 @@ def common_residue_field(elts):
     return rs.ResidueField(fields[0].p, k)
 
 
-def ball_residue_poly(C, v):
+def ball_residue_poly(C, v, level):
     """Residue polynomial of C along the ball of log-radius v (centered where
-    C was recentered): coefficient i reduces C_i * pi^(i*v - level)."""
+    C was recentered): coefficient i reduces C_i * pi^(i*v - level), where
+    level is the seminorm S_v(C) that the caller has computed."""
     C = list(C)
-    level = polys.gauss_valuation(C, v)
     if level == INF:
         return []
-    bk = C[0].backend
     res = []
     for i, c in enumerate(C):
         if c.is_zero_to_precision():
@@ -82,7 +81,7 @@ def ball_residue_poly(C, v):
         if c.valuation() + i * v > level:
             res.append(None)
         else:
-            res.append((c * bk.uniformizer_pow(i * v - level)).reduce())
+            res.append(_leading_residue(c))
     field = common_residue_field([r for r in res if r is not None])
     out = []
     for r in res:
@@ -95,15 +94,42 @@ def ball_residue_poly(C, v):
     return rs.rpoly_trim(out)
 
 
+def _leading_residue(c: FieldElement) -> rs.ResidueElement:
+    """The residue of c * pi^(-val c), read off the leading term of c.  Keys
+    are reduced and PADIC keeps 0 <= i < e, so terms of one element have
+    distinct valuations and val c names the leading key: (i, e) with
+    i/e = val c for the series backends, and the fractional part of val c
+    for PADIC, whose coefficient then carries p^floor(val c)."""
+    bk = c.backend
+    v = c.valuation()
+    if c.prec is not None and c.prec <= v:
+        raise PrecisionExhausted("residue not determined at this precision")
+    if bk.kind == PADIC:
+        a = v.numerator // v.denominator
+        f = v - a
+        return bk.residue_field().from_fraction(
+            c.terms[f.numerator, f.denominator] / Fraction(bk.p) ** a
+        )
+    lead = c.terms[v.numerator, v.denominator]
+    if bk.kind == EQUICHARP:
+        if lead.field.k % bk.k:
+            # the product with pi^(-val c) embeds the coefficient in the
+            # field it generates with F_(p^k)
+            return (c * bk.uniformizer_pow(-v)).reduce()
+        return lead
+    return bk.residue_field().from_fraction(lead)
+
+
 def segment_residue_poly(G, seg):
     """Residue polynomial of a Newton-polygon segment of G.
 
     Returns (coeffs over a common residue field, root valuation v).  Roots u
     of the residue polynomial are the leading digits of roots h = u*pi^v + ...
     of G, with matching multiplicities.  The segment is G[i0..i1] seen on the
-    ball of log-radius v = -slope, whose level is the segment's line."""
+    ball of log-radius v = -slope, whose level is the segment's line: the
+    valuation of its first coefficient."""
     slope, _, i0, i1 = seg
-    return ball_residue_poly(G[i0 : i1 + 1], -slope), -slope
+    return ball_residue_poly(G[i0 : i1 + 1], -slope, G[i0].valuation()), -slope
 
 
 def _taylor_head(F, z):

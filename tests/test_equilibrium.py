@@ -100,7 +100,7 @@ class TestApprox:
         eps = F(1, 16)
         moved = AtomicMeasure([(a, -eps), (b, eps)])
         levels = approx.levels[:2] + [approx.measure + moved]
-        perturbed = EquilibriumApprox(R, approx.base, 2, levels)
+        perturbed = EquilibriumApprox(R, approx.base, 2, levels, approx.degrees)
         assert invariance_defect(perturbed) == 2 * eps
 
     def test_invariance_defect_needs_a_level(self):
@@ -174,6 +174,36 @@ class TestBallMass:
 
 
 class TestEntropy:
+    def test_chain_degrees_are_local_degrees(self):
+        # the chain keeps the multiplicity its fiber search gave each atom of
+        # the last level; mean_degree reads those instead of recomputing them
+        R1 = RationalMap.parse("z^2*(1 + 16777216*z^8)/(1 + 4096*z^6)", B2)
+        z2_plus_1 = RationalMap.parse("z^2+1", B3)
+        lossy = RationalMap.from_rationals(B3, [-3], [-1, -7, -5, 1])
+        cases = [
+            (R0(), BerkPoint.canonical(B3), 6, False, 64),
+            (R1, BerkPoint.canonical(B2), 4, False, 41),
+            (z2_plus_1, axis(B3, 1), 1, True, 0),  # the whole fiber drops
+            (lossy, BerkPoint.canonical(B3), 2, True, None),
+        ]
+        for R, base, n, partial, n_atoms in cases:
+            approx = equilibrium_approx(R, base, n, partial=partial)
+            atoms = approx.measure.atoms
+            if n_atoms is not None:
+                assert len(atoms) == n_atoms
+            assert set(approx.degrees) == {q for q, _ in atoms}
+            for q, _ in atoms:
+                assert approx.degrees[q] == R.local_degree(q)
+            recomputed = math.exp(sum(float(m) * math.log(R.local_degree(q)) for q, m in atoms))
+            assert mean_degree(R, approx) == recomputed
+            # a hand-built approximation that kept no degrees asks R
+            bare = EquilibriumApprox(R, base, n, approx.levels, {})
+            assert mean_degree(R, bare) == recomputed
+        # with no pullback the chain kept no degrees: the base's is R's own
+        approx = equilibrium_approx(R0(), axis(B3, 1), 0)
+        assert approx.degrees == {}
+        assert mean_degree(R0(), approx) == math.exp(math.log(R0().local_degree(axis(B3, 1))))
+
     def test_good_reduction_zero_bound(self):
         R = RationalMap.parse("z^2+1", B3)
         approx = equilibrium_approx(R, BerkPoint.canonical(B3), 2)

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from berkdyn import Backend, PADIC, EQUICHAR0, EQUICHARP
+from berkdyn import Backend, PADIC, EQUICHAR0, EQUICHARP, PrecisionExhausted
 from berkdyn import polys
+from berkdyn.fields import FieldElement
 
 B2 = Backend(PADIC, p=2)
 B3 = Backend(PADIC, p=3)
@@ -25,6 +26,77 @@ def random_poly(bk, rng, maxdeg=5):
             q = F(rng.randint(-20, 20), rng.randint(1, 10))
         coeffs.append(bk.from_rational(q))
     return polys.trim(coeffs)
+
+
+def big_o(bk, prec):
+    """The inexact zero O(pi^prec)."""
+    return FieldElement(bk, {}, F(prec))
+
+
+def synthetic_recenter(a, center):
+    """P(center + h) by repeated synthetic division, with no shortcut."""
+    work, out = list(a), []
+    while work:
+        rem, work = polys._synth_div(work, center)
+        out.append(rem)
+    return out + [center.backend.zero()] * (len(a) - len(out))
+
+
+class TestSparseFastPaths:
+    """The shortcuts for exact zeros against the general code and against
+    plain Fraction arithmetic."""
+
+    @pytest.mark.parametrize("bk", [B3, BQ, BF2])
+    def test_recenter_at_exact_zero_is_synthetic_division(self, bk):
+        rng = random.Random(61)
+        for _ in range(100):
+            a = random_poly(bk, rng)
+            # some coefficients known only to finite precision, some zero
+            a = [
+                c + big_o(bk, rng.randint(1, 6)) if rng.random() < 0.3
+                else bk.zero() if rng.random() < 0.2 else c
+                for c in a
+            ]
+            assert polys.recenter(a, bk.zero()) == synthetic_recenter(a, bk.zero())
+            # an inexact zero is not a shortcut
+            center = big_o(bk, rng.randint(1, 4))
+            assert polys.recenter(a, center) == synthetic_recenter(a, center)
+
+    @pytest.mark.parametrize("bk", [B3, BQ, BF2])
+    def test_sparse_mul_is_the_dense_fraction_product(self, bk):
+        rng = random.Random(67)
+        # over F_p a denominator divisible by p has no reduction
+        max_den = 1 if bk.kind == EQUICHARP else 4
+
+        def sparse(n):
+            return [F(rng.randint(-9, 9), rng.randint(1, max_den)) if rng.random() < 0.5
+                    else F(0) for _ in range(n)]
+
+        for _ in range(150):
+            a, b = sparse(rng.randint(1, 7)), sparse(rng.randint(1, 7))
+            dense = [F(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    dense[i + j] += x * y
+            got = polys.mul(polys.from_rationals(bk, a), polys.from_rationals(bk, b))
+            assert polys.trim(got) == polys.from_rationals(bk, dense)
+
+    def test_exact_zero_times_inexact_adds_nothing(self):
+        # the skipped products are exact zeros: the sum keeps every precision
+        rng = random.Random(71)
+        for _ in range(100):
+            a = [B3.zero() if rng.random() < 0.4 else B3.from_int(rng.randint(-9, 9))
+                 for _ in range(rng.randint(1, 5))]
+            b = [B3.from_int(rng.randint(-9, 9)) + big_o(B3, rng.randint(1, 5))
+                 for _ in range(rng.randint(1, 5))]
+            a, b = polys.trim(a), polys.trim(b)
+            if not a or not b:
+                continue
+            dense = [B3.zero()] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    dense[i + j] = dense[i + j] + x * y
+            assert polys.mul(a, b) == dense
 
 
 class TestRingOps:
@@ -116,6 +188,19 @@ class TestGaussValuation:
             assert polys.gauss_valuation(polys.mul(f, g), t) == polys.gauss_valuation(
                 f, t
             ) + polys.gauss_valuation(g, t)
+
+
+    def test_unknown_coefficient_in_either_order(self):
+        # O(3^5) bounds its term below by 5 + i*t: it decides nothing while
+        # that bound is at least the minimum over the known coefficients
+        one, unknown = B3.one(), big_o(B3, 5)
+        for coeffs in ([unknown, one], [one, unknown]):
+            assert polys.gauss_valuation(coeffs, F(0)) == 0
+        assert polys.gauss_valuation([unknown, one], F(5)) == 5  # a tie is decided
+        with pytest.raises(PrecisionExhausted):
+            polys.gauss_valuation([unknown, one], F(6))  # 5 < 0 + 6
+        with pytest.raises(PrecisionExhausted):
+            polys.gauss_valuation([one, unknown], F(-6))  # 5 - 6 < 0
 
 
 class TestSeminormRatioSolver:

@@ -9,7 +9,9 @@ import pytest
 
 from berkdyn import Backend, ExtensionBound, PADIC, PrecisionExhausted, EQUICHAR0, EQUICHARP
 from berkdyn import polys
-from berkdyn.roots import pth_root_element, roots_with_mult
+from berkdyn import residue as rs
+from berkdyn.fields import FieldElement
+from berkdyn.roots import _leading_residue, ball_residue_poly, pth_root_element, roots_with_mult
 
 B2 = Backend(PADIC, p=2)
 B3 = Backend(PADIC, p=3)
@@ -323,3 +325,68 @@ class TestUnrepresentable:
         )
         with pytest.raises(ExtensionBound):
             roots_with_mult(P)
+
+
+def random_sum_of_terms(bk, rng, max_e, coeff):
+    """A random element built by field arithmetic from monomials coeff() *
+    pi^(i/e), e <= max_e, sometimes known only to a finite precision."""
+    x = bk.zero()
+    for _ in range(rng.randint(1, 6)):
+        q = F(rng.randint(-3 * max_e, 3 * max_e), rng.randint(1, max_e))
+        x = x + bk.from_term(q, coeff())
+    if x.terms and rng.random() < 0.3:
+        x = x + FieldElement(bk, {}, x.valuation() + F(rng.randint(1, 9), rng.randint(1, 4)))
+    return x
+
+
+class TestLeadingResidue:
+    """The residue of c * pi^(-val c), read off the leading term, against the
+    product with the uniformizer power and its reduction."""
+
+    def _check(self, bk, rng, max_e, coeff, n=300):
+        for _ in range(n):
+            c = random_sum_of_terms(bk, rng, max_e, coeff)
+            if not c.terms:
+                continue
+            want = (c * bk.uniformizer_pow(-c.valuation())).reduce()
+            assert _leading_residue(c) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_padic_towers_up_to_e_47(self, p):
+        rng = random.Random(300 + p)
+        bk = Backend(PADIC, p=p)
+
+        def coeff():
+            # whole powers of p in the coefficient move the valuation
+            return F(rng.choice([-1, 1]) * rng.randint(1, 50) * p ** rng.randint(0, 3),
+                     rng.randint(1, 30) * p ** rng.randint(0, 3))
+
+        self._check(bk, rng, 47, coeff)
+
+    def test_laurentq(self):
+        rng = random.Random(311)
+        self._check(BQ, rng, 12, lambda: F(rng.randint(-20, 20) or 1, rng.randint(1, 9)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_laurentfp_coefficients_in_f9(self, k):
+        # over laurentfp:p=3,k=2 an F_3 coefficient is lifted into F_9
+        rng = random.Random(320 + k)
+        bk = Backend(EQUICHARP, p=3, k=k)
+        f3, f9 = rs.ResidueField(3, 1), rs.ResidueField(3, 2)
+
+        def coeff():
+            if rng.random() < 0.5:
+                return rs.ResidueElement(f3, (rng.randint(1, 2),))
+            return rs.ResidueElement(f9, (rng.randint(0, 2), rng.randint(1, 2)))
+
+        self._check(bk, rng, 9, coeff)
+
+    def test_unknown_coefficient_on_the_level(self):
+        # 1 + O(3^1) z on the ball of log-radius -1: the unknown coefficient
+        # reaches the level 0, so its residue is undetermined
+        C = [B3.one(), FieldElement(B3, {}, F(1))]
+        assert polys.gauss_valuation(C, F(-1)) == 0
+        with pytest.raises(PrecisionExhausted):
+            ball_residue_poly(C, F(-1), polys.gauss_valuation(C, F(-1)))
+        level = polys.gauss_valuation(C, F(-1, 2))
+        assert ball_residue_poly(C, F(-1, 2), level) == [rs.ResidueField(3).one()]
