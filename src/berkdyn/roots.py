@@ -3,7 +3,8 @@
 The workhorse is Newton-polygon digit descent: each polygon segment gives the
 valuation of a batch of roots, the associated residue polynomial gives their
 leading digits, and recursion (with a Newton/Hensel acceleration once a root
-separates) refines them to the requested precision.  Multiplicities come from
+separates) refines them to the requested precision.  A descent that finds
+deg F simple roots proves F squarefree.  Otherwise multiplicities come from
 the gcd recursion F -> gcd(F, F'), which is characteristic-safe."""
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ def squarefree_roots(F, prec, partial=False):
     additive precision `prec` (exact roots are returned exact).
 
     With partial=True, branches whose digits need an unrepresentable residue
-    extension are skipped instead of raising ExtensionBound."""
+    extension are skipped instead of raising ExtensionBound.  An exact F
+    with a repeated root yields it once, so fewer than deg F roots, or raises.
+    """
     F = polys.trim(F)
     bk = F[0].backend
     d = polys.degree(F)
@@ -177,7 +180,8 @@ def squarefree_roots(F, prec, partial=False):
 def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack):
     """Process one node of the digit-descent tree: record an exact or
     precise-enough root, or push one more digit of every branch."""
-    c0, c1 = _taylor_head(F, z)
+    G = polys.recenter(F, z)  # F(z + h); its first two coefficients decide
+    c0, c1 = G[0], G[1]
     hit_exact = c0.is_zero_to_precision() and c0.is_exact
     if hit_exact:
         roots.append(z)
@@ -199,7 +203,6 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack):
                 roots.append(_newton_refine(F, z, prec))
                 return
     # one more digit: polygon of F(z + h), segments deeper than `depth`
-    G = polys.recenter(F, z)
     progressed = False
     skipped = False
     for seg in polys.newton_polygon(G):
@@ -360,22 +363,30 @@ def _roots_impl(F, prec, partial):
                 continue  # origin already stripped
             out.append((pth_root_element(r), m * bk.p))
         return out
+    # deg F simple roots prove F squarefree; only a descent that finds fewer
+    # (or raises) is settled by gcd(F, F')
+    failure, simple = None, []
+    try:
+        simple = squarefree_roots(F, prec, partial)
+    except (ExtensionBound, PrecisionExhausted) as e:
+        failure = e
+    if len(simple) == polys.degree(F):
+        return _merge(out + [(r, 1) for r in simple])
     g = polys.gcd_poly(F, dF)
     if polys.degree(g) < 1:
-        for r in squarefree_roots(F, prec, partial):
-            out.append((r, 1))
-        return _merge(out)
+        if failure is not None:
+            raise failure
+        return _merge(out + [(r, 1) for r in simple])
     S, rem = polys.divmod_poly(F, g)
     if not all(c.is_zero_to_precision() for c in rem):
         # gcd_poly stops at a remainder that is zero only to the precision
-        # budget, so g can be spurious; F is squarefree if it has deg F roots
-        simple = squarefree_roots(F, prec, partial)
-        if len(simple) != polys.degree(F):
-            raise PrecisionExhausted(
-                "gcd(F, F') lost precision: it does not divide F, and F "
-                f"has {len(simple)} simple roots, not {polys.degree(F)}"
-            )
-        return _merge(out + [(r, 1) for r in simple])
+        # budget, so g can be spurious; the descent's outcome stands
+        if failure is not None:
+            raise failure
+        raise PrecisionExhausted(
+            "gcd(F, F') lost precision: it does not divide F, and F "
+            f"has {len(simple)} simple roots, not {polys.degree(F)}"
+        )
     simple = [(r, 1) for r in squarefree_roots(S, prec, partial)]
     repeated = _roots_impl(g, prec, partial)
     for r, m in repeated:

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from berkdyn import Backend, ExtensionBound, PADIC, PrecisionExhausted, EQUICHAR0, EQUICHARP
 from berkdyn import polys
+from berkdyn import roots as rt
 from berkdyn import residue as rs
 from berkdyn.fields import FieldElement
 from berkdyn.roots import _leading_residue, ball_residue_poly, pth_root_element, roots_with_mult
@@ -254,6 +256,22 @@ class TestApproximateRoots:
         ]
 
 
+BF7 = Backend(EQUICHARP, p=7)
+# pairs of irreducible quartics over F_7
+QUARTICS_F7 = [
+    ([4, 0, 0, 4, 1], [4, 6, 0, 0, 1]),
+    ([6, 0, 0, 5, 1], [6, 2, 0, 0, 1]),
+    ([2, 0, 0, 2, 1], [3, 2, 0, 0, 1]),
+]
+
+
+def scaled_f7(f, s):
+    """f(t^(-s) z) * t^(s deg f) over F_7((t)): the roots of f over F_7
+    times t^s, as in root-descent's split family."""
+    d = len(f) - 1
+    return [BF7.from_int(c) * BF7.uniformizer_pow(s * (d - i)) for i, c in enumerate(f)]
+
+
 class TestCharP:
     def test_inseparable_square(self):
         # z^2 - t = (z - t^(1/2))^2 in characteristic 2
@@ -282,22 +300,14 @@ class TestCharP:
             assert m == 1
             assert polys.evaluate(P, r).is_zero()
 
-    @pytest.mark.parametrize(
-        "low,high",
-        [
-            ([4, 0, 0, 4, 1], [4, 6, 0, 0, 1]),
-            ([6, 0, 0, 5, 1], [6, 2, 0, 0, 1]),
-            ([2, 0, 0, 2, 1], [3, 2, 0, 0, 1]),
-        ],
-    )
+    @pytest.mark.parametrize("low,high", QUARTICS_F7)
     def test_squarefree_product_with_lossy_gcd(self, low, high):
         # Products of two irreducible quartics over F_7, one scaled to roots
-        # of valuation -1, the other to +1.  gcd(P, P') loses a remainder
-        # that is zero only to the precision budget and comes out linear.
-        bk = Backend(EQUICHARP, p=7)
-        P = [bk.one()]
-        for f, s in [(low, -1), (high, 1)]:
-            P = polys.mul(P, [bk.from_int(c) * bk.uniformizer_pow(s * (4 - i)) for i, c in enumerate(f)])
+        # of valuation -1, the other to +1.  The descent finds all eight
+        # roots, which proves P squarefree, so gcd(P, P') is never formed; it
+        # would lose a remainder that is zero only to the precision budget
+        # and come out linear.
+        P = polys.mul(scaled_f7(low, -1), scaled_f7(high, 1))
         got = roots_with_mult(P)
         assert [m for _, m in got] == [1] * 8
         assert sorted(r.valuation() for r, _ in got) == [-1] * 4 + [1] * 4
@@ -325,6 +335,155 @@ class TestUnrepresentable:
         )
         with pytest.raises(ExtensionBound):
             roots_with_mult(P)
+
+
+# -- squarefree inputs never reach gcd(F, F') ---------------------------------
+# Oracle: sympy's factorization over Q (or Q[t], with t the uniformizer of
+# laurentq), or the construction itself.
+
+Z, T = sympy.symbols("z t")
+
+
+def sympy_element(bk, expr):
+    """A polynomial in t with rational coefficients as an element of bk."""
+    x = bk.zero()
+    for (k,), c in sympy.Poly(expr, T).terms():
+        x = x + bk.from_rational(F(int(c.p), int(c.q))) * bk.uniformizer_pow(k)
+    return x
+
+
+def sympy_poly(bk, expr):
+    return [sympy_element(bk, c) for c in reversed(sympy.Poly(expr, Z).all_coeffs())]
+
+
+def sympy_roots(bk, expr):
+    """[(root, multiplicity)] from sympy's factor_list; every factor must be
+    linear in z."""
+    out = []
+    for f, m in sympy.factor_list(expr, Z)[1]:
+        a, b = sympy.Poly(f, Z).all_coeffs()
+        out.append((sympy_element(bk, sympy.cancel(-b / a)), m))
+    return sorted(out, key=str)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The degrees of the first arguments of every polys.gcd_poly call."""
+    calls = []
+    gcd = polys.gcd_poly
+
+    def counted(a, b):
+        calls.append(polys.degree(a))
+        return gcd(a, b)
+
+    monkeypatch.setattr(polys, "gcd_poly", counted)
+    return calls
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The outcome of every squarefree_roots call: (degree, number of roots
+    found) or (degree, exception class)."""
+    outcomes = []
+    run = rt.squarefree_roots
+
+    def recorded(F, prec, partial=False):
+        try:
+            found = run(F, prec, partial)
+        except (ExtensionBound, PrecisionExhausted) as e:
+            outcomes.append((polys.degree(F), type(e)))
+            raise
+        outcomes.append((polys.degree(F), len(found)))
+        return found
+
+    monkeypatch.setattr(rt, "squarefree_roots", recorded)
+    return outcomes
+
+
+class TestSquarefreeCertificate:
+    @pytest.mark.parametrize(
+        "bk,expr",
+        [
+            (B3, (Z - 1) * (Z - 2) * (2 * Z - 1) * (3 * Z + 5)),
+            (BQ, (Z - 1 - T) * (Z - 2) * (3 * Z - 1) * (Z + T**2)),
+        ],
+    )
+    def test_exact_squarefree_products_skip_gcd(self, gcd_calls, bk, expr):
+        got = roots_with_mult(sympy_poly(bk, expr))
+        assert gcd_calls == []
+        assert sorted(got, key=str) == sympy_roots(bk, expr)
+
+    @pytest.mark.parametrize("f,g", [([1, 0, 1], [4, 6, 0, 0, 1]), QUARTICS_F7[1]])
+    def test_split_family_skips_gcd(self, gcd_calls, f, g):
+        # root-descent's split shape: irreducibles over F_7 (z^2 + 1 and a
+        # quartic) scaled to roots of valuation -1 and +1
+        low, high = scaled_f7(f, -1), scaled_f7(g, 1)
+        got = roots_with_mult(polys.mul(low, high))
+        assert gcd_calls == []
+        assert [m for _, m in got] == [1] * (len(f) + len(g) - 2)
+        assert len({str(r) for r, _ in got}) == len(got)
+        for r, _ in got:
+            factor = low if r.valuation() == -1 else high
+            assert r.is_exact and polys.evaluate(factor, r).is_zero()
+        assert sorted(r.valuation() for r, _ in got) == [-1] * (len(f) - 1) + [1] * (len(g) - 1)
+
+    @pytest.mark.parametrize(
+        "bk,expr",
+        [
+            (Backend(PADIC, p=7), (Z - 1) ** 3 * (Z + 2)),
+            (BQ, (Z - 1) ** 2 * (Z + 2)),
+            (BQ, (2 * Z - 1) ** 2 * (Z + 3) ** 2),
+            (BQ, (Z - 1 - T) ** 2),
+        ],
+    )
+    def test_repeated_roots_go_through_gcd(self, gcd_calls, descents, bk, expr):
+        got = roots_with_mult(sympy_poly(bk, expr))
+        assert sorted(got, key=str) == sympy_roots(bk, expr)
+        # the descent of F fails first; the answer comes from the gcd recursion
+        assert descents[0] == (sympy.degree(expr, Z), PrecisionExhausted)
+        assert gcd_calls[0] == sympy.degree(expr, Z)
+
+    def test_unliftable_residue_root(self, gcd_calls):
+        # the residue root of z^2 + 1 over the 3-adics lies in F_9
+        P = polys.from_rationals(B3, [1, 0, 1])
+        with pytest.raises(ExtensionBound, match="proper extension of the residue field; not liftable"):
+            roots_with_mult(P)
+        assert roots_with_mult(P, partial=True) == []
+        assert gcd_calls == [2, 2]
+
+    def test_partial_descent_then_gcd(self, gcd_calls):
+        # (z - 1)^2 (z^2 + 1) over the 3-adics: the partial descent finds
+        # one root, and gcd(F, F') = z - 1 gives it multiplicity 2
+        P = sympy_poly(B3, (Z - 1) ** 2 * (Z**2 + 1))
+        got = roots_with_mult(P, partial=True)
+        assert [(r.as_rational(), m) for r, m in got] == [(1, 2)]
+        assert gcd_calls == [4]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PrecisionExhausted,
+    reason="known defect: gcd_poly divides with truncation even on exact inputs",
+)
+class TestLossyGcdOnRepeatedFactors:
+    @pytest.mark.parametrize("low,high", QUARTICS_F7)
+    @pytest.mark.parametrize("m_low,m_high", [(2, 1), (1, 2)])
+    def test_repeated_quartic_over_laurentfp(self, low, high, m_low, m_high):
+        # low^m_low * high^m_high: four roots of valuation -1, four of +1
+        L, H = scaled_f7(low, -1), scaled_f7(high, 1)
+        P = [BF7.one()]
+        for factor, m in [(L, m_low), (H, m_high)]:
+            for _ in range(m):
+                P = polys.mul(P, factor)
+        got = roots_with_mult(P)
+        assert sorted((r.valuation(), m) for r, m in got) == [(-1, m_low)] * 4 + [(1, m_high)] * 4
+        for r, _ in got:
+            factor = L if r.valuation() == -1 else H
+            assert r.is_exact and polys.evaluate(factor, r).is_zero()
+
+    def test_square_times_deeper_root_over_laurentq(self):
+        expr = (Z - 1) ** 2 * (Z - T)
+        assert sorted(roots_with_mult(sympy_poly(BQ, expr)), key=str) == sympy_roots(BQ, expr)
 
 
 def random_sum_of_terms(bk, rng, max_e, coeff):
