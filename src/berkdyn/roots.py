@@ -4,13 +4,16 @@ The workhorse is Newton-polygon digit descent: each polygon segment gives the
 valuation of a batch of roots, the associated residue polynomial gives their
 leading digits, and recursion (with a Newton/Hensel acceleration once a root
 separates) refines them to the requested precision.  A descent that finds
-deg F simple roots proves F squarefree.  Otherwise multiplicities come from
-the gcd recursion F -> gcd(F, F'), which is characteristic-safe."""
+deg F simple roots proves F squarefree.  Over PADIC and laurentq a degree
+bound on exponent denominators prunes branches that hold no root in the
+tower, so a descent that cannot split F raises ExtensionBound, which is
+final.  Otherwise multiplicities come from the gcd recursion
+F -> gcd(F, F'), which is characteristic-safe."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ExtensionBound, PrecisionExhausted
 from .fields import (
@@ -145,8 +148,41 @@ def squarefree_roots(F, prec, partial=False):
     additive precision `prec` (exact roots are returned exact).
 
     With partial=True, branches whose digits need an unrepresentable residue
-    extension are skipped instead of raising ExtensionBound.  An exact F
-    with a repeated root yields it once, so fewer than deg F roots, or raises.
+    extension, or that the tower bound below prunes, are skipped instead of
+    raising ExtensionBound.  An exact F with a repeated root yields it once,
+    so fewer than deg F roots, or raises.
+
+    Tower bound.  Over PADIC and laurentq, with every coefficient of F
+    exact, let e0 be the lcm of the key denominators of F's coefficients and
+    n = deg F.  A digit child whose centre needs exponent denominator E with
+    E / gcd(E, e0) > n holds no root of F in the tower, so it is treated as
+    an unliftable digit.  Proof, writing L_D = Q_p(p^(1/D)) (for laurentq
+    read Q((t^(1/D))) and t for p), K0 = L_e0:
+    - A tower root a lies in some L_D, and M = K0(a) has degree
+      m = e0 * j over the base, with j = [M : K0] <= n.
+    - L_D / M is totally ramified of degree r = D / m, so the norm
+      N = N_{L_D/M}(p^(1/D)) has N^D = p^r: (N / p^(1/m))^m = N^m / p is an
+      r-th root of unity, and N = p^(1/m) * zeta with zeta in mu(L_D).
+    - mu(L_D) = mu(Q_p).  L_D has residue field F_p (Q for laurentq, whose
+      series have no roots of unity beyond +-1), and roots of unity of order
+      prime to p reduce injectively into it, so only p-power roots of unity
+      could be new, and those contain zeta_p (i when p = 2):
+      - p odd: Q_p(zeta_p) = Q_p((-p)^(1/(p-1))) has ramification index
+        p - 1, so p - 1 divides D, and (-p)^(1/(p-1)) / p^(1/(p-1)) would
+        be a root of unity in L_D of order prime to p whose (p-1)-th power
+        is -1, not 1;
+      - p = 2: i lies in L_q, q = 2^a the 2-part of D, because L_D has odd
+        degree over it.  The different of L_q / Q_2 has exponent
+        q - 1 + v_L(q) = q - 1 + aq, and that of Q_2(i) / Q_2 has exponent
+        q in L_q, so L_q / Q_2(i), of degree q/2, would have different
+        exponent aq - 1, above its bound q/2 - 1 + v_L(q/2) = aq - q/2 - 1.
+    - So zeta, and then p^(1/m), lies in M, and M = L_m by degrees.  The
+      descent toward a starts at 0 in L_m, and each digit is a rational
+      times p^v with v = v(a - z) in (1/m)Z, so every centre on the way lies
+      in L_m: its E divides m = e0 * j, and E / gcd(E, e0) <= j <= n.
+    laurentfp stays outside the bound: its digits may lie in F_(p^k), k > 1,
+    so L_D / M need not be totally ramified, and Artin-Schreier roots such
+    as those of z^p - z - 1/t need unbounded denominators.
     """
     F = polys.trim(F)
     bk = F[0].backend
@@ -159,6 +195,10 @@ def squarefree_roots(F, prec, partial=False):
         # reach it when its expansion ends below prec
         return [-F[0] / F[1]]
     roots = []
+    # e0 of the tower bound (docstring); None where the bound does not hold
+    e0 = None
+    if bk.kind != EQUICHARP and all(c.is_exact for c in F):
+        e0 = lcm(*(e for c in F for _, e in c.terms))
     # work items: (approximation z, digit depth reached, residue multiplicity)
     stack = [(bk.zero(), -INF, d)]
     steps = 0
@@ -168,7 +208,7 @@ def squarefree_roots(F, prec, partial=False):
         if steps > _MAX_DESCENT_STEPS:
             raise PrecisionExhausted("root descent exceeded its step budget")
         try:
-            _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack)
+            _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0)
         except PrecisionExhausted:
             # phantom branches (roots outside the representable field) can
             # run out of digits; in partial mode they are simply dropped
@@ -177,7 +217,7 @@ def squarefree_roots(F, prec, partial=False):
     return roots
 
 
-def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack):
+def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
     """Process one node of the digit-descent tree: record an exact or
     precise-enough root, or push one more digit of every branch."""
     G = polys.recenter(F, z)  # F(z + h); its first two coefficients decide
@@ -217,9 +257,15 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack):
                 skipped = True
                 continue
             raise
+        E = lcm(v.denominator, *(e for _, e in z.terms))
         for theta, mu in branches:
             try:
                 digit = lift_residue(bk, theta) * bk.uniformizer_pow(v)
+                if e0 is not None and E // gcd(E, e0) > len(F) - 1:
+                    raise ExtensionBound(
+                        f"no root in the tower: a digit needs exponent denominator "
+                        f"E={E} > n*gcd(E, e0) with e0={e0}, n={len(F) - 1}"
+                    )
             except ExtensionBound:
                 if partial:
                     skipped = True
@@ -368,7 +414,11 @@ def _roots_impl(F, prec, partial):
     failure, simple = None, []
     try:
         simple = squarefree_roots(F, prec, partial)
-    except (ExtensionBound, PrecisionExhausted) as e:
+    except ExtensionBound as e:
+        if not partial:
+            raise  # a root outside the representable field: F does not split
+        failure = e
+    except PrecisionExhausted as e:
         failure = e
     if len(simple) == polys.degree(F):
         return _merge(out + [(r, 1) for r in simple])

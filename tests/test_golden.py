@@ -71,6 +71,12 @@ COMMANDS = {
         "preimages", "--backend", "laurentfp:p=3", "--map", "z^2+1",
         "--point", '{"t":"I","v":"[(0,0)]"}',
     ],
+    # A fiber whose descent chases roots outside the tower Q_3(3^(1/e)): the
+    # tower bound of the root descent makes it a typed ExtensionBound.
+    "preimages-wild-padic3": [
+        "preimages", "--backend", "padic:p=3", "--map", "(3-6*z+9*z^2+6*z^3)/6",
+        "--point", '{"t":"I","v":"2/3"}',
+    ],
     "local-degree-laurentfp": [
         "local-degree", "--backend", "laurentfp:p=2", "--map", "z^2+z",
         "--point", '{"t":"II","c":"[(1/2,1)]","logr":"1"}',
@@ -78,7 +84,9 @@ COMMANDS = {
 }
 
 # Commands whose pinned answer is a typed error, with their exit code.
-EXIT_CODES = {"preimages-laurentfp-p5": 3, "preimages-laurentfp-ext": 3}
+EXIT_CODES = {
+    "preimages-laurentfp-p5": 3, "preimages-laurentfp-ext": 3, "preimages-wild-padic3": 3,
+}
 
 _SECONDS = re.compile(r"  \d+\.\d\d$", re.M)
 

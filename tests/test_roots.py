@@ -157,32 +157,37 @@ def oracle_cases(rng, n_random=50, n_products=30):
     return cases
 
 
-# Random inputs whose descent runs out of terms (the term cap on a wildly
-# ramified descent, a known defect) and raises PrecisionExhausted where the
-# answer is the roots or ExtensionBound.
-AMBIGUOUS = {
-    2: {(6, -26, -13, 3, -24), (-26, 30, 13), (18, 20, 23), (-25, 14, -2),
-        (-14, -8, 15, -2), (25, 2, 6), (-5, 20, 19)},
-    3: {(5, 18, -18, -15)},
-    5: set(),
-}
+def quadratic_splits(coeffs, p):
+    """Whether c + b z + a z^2 has its roots in the tower Q_p(p^(1/E)).  They
+    are (-b +- sqrt(D)) / 2a with D = b^2 - 4ac, and the quadratic fields in
+    the tower are Q_p(sqrt p) alone, so the roots are there iff D = 0 or D
+    lies in Q_p*^2 or p Q_p*^2: iff the unit part of D is a square, a
+    quadratic residue mod p, or 1 mod 8 for p = 2."""
+    c, b, a = coeffs
+    D = b * b - 4 * a * c
+    if D == 0:
+        return True
+    u = D / F(p) ** vp(D, p)
+    w = u.numerator * u.denominator  # in the square class of u
+    return w % 8 == 1 if p == 2 else pow(w, (p - 1) // 2, p) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_roots_against_fraction_oracle(p):
     bk = Backend(PADIC, p=p)
     rng = random.Random(f"roots-oracle:{p}")
-    ambiguous = set()
+    outcomes = set()
     for coeffs, must_split in oracle_cases(rng):
         d = len(coeffs) - 1
+        splits = must_split or (d == 2 and quadratic_splits(coeffs, p))
         try:
             got = roots_with_mult(polys.from_rationals(bk, coeffs))
         except ExtensionBound:
-            assert not must_split, coeffs
+            assert not splits, coeffs
+            outcomes.add((d, False))
             continue
-        except PrecisionExhausted:
-            ambiguous.add(tuple(int(c) for c in coeffs))
-            continue
+        assert d != 2 or splits, coeffs
+        outcomes.add((d, True))
         assert sum(m for _, m in got) == d
         E = 1
         for r, _ in got:
@@ -212,19 +217,130 @@ def test_roots_against_fraction_oracle(p):
             diff[0] -= coeffs[k] / coeffs[d]
             bound = worst + sum(vals[: d - k - 1])
             assert tower_val(diff, p) >= bound, (coeffs, k)
-    assert ambiguous == AMBIGUOUS[p]
+    # the closed form decided quadratics both ways
+    assert {(2, True), (2, False)} <= outcomes
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PrecisionExhausted,
-    reason="known defect: the term cap on a wildly ramified descent",
-)
 def test_nonsplit_quadratic_over_2adics_is_extension_bound():
     # discriminant 4 * 563 with 563 = 3 mod 8: the roots need sqrt(3), which
     # no Q_2(2^(1/e)) holds
     with pytest.raises(ExtensionBound):
         roots_with_mult(polys.from_rationals(B2, [-26, 30, 13]))
+
+
+# -- the tower bound of squarefree_roots ---------------------------------------
+# Roots whose exponent denominator E meets the bound E / gcd(E, e0) <= deg F
+# are still found; branches past it hold no tower root.
+
+
+def exact_roots(P, **kw):
+    got = roots_with_mult(P, **kw)
+    for r, m in got:
+        assert m == 1 and r.is_exact and polys.evaluate(P, r).is_zero()
+    return sorted(str(r) for r, _ in got)
+
+
+class TestTowerBound:
+    @pytest.mark.parametrize(
+        "bk,coeffs,roots",
+        [
+            # the other roots need a cube root of unity, or i
+            (B3, [-3, 0, 0, 1], [B3.uniformizer_pow(F(1, 3))]),
+            (B2, [-2, 0, 0, 0, 1], [B2.uniformizer_pow(F(1, 4)), -B2.uniformizer_pow(F(1, 4))]),
+        ],
+    )
+    def test_padic_roots_at_the_bound(self, bk, coeffs, roots):
+        P = polys.from_rationals(bk, coeffs)
+        assert exact_roots(P, partial=True) == sorted(str(r) for r in roots)
+
+    def test_laurentq_root_at_the_bound(self):
+        # z^3 - t: E = 3 = deg F
+        P = [-BQ.uniformizer_pow(1), BQ.zero(), BQ.zero(), BQ.one()]
+        assert exact_roots(P, partial=True) == [str(BQ.uniformizer_pow(F(1, 3)))]
+
+    def test_coefficient_denominator_widens_the_bound(self):
+        # z^2 - 3^(1/2): e0 = 2, so E = 4 stays within E / gcd(E, e0) <= 2
+        P = [-B3.uniformizer_pow(F(1, 2)), B3.zero(), B3.one()]
+        w = B3.uniformizer_pow(F(1, 4))
+        assert exact_roots(P) == sorted([str(w), str(-w)])
+
+    def test_branch_past_the_bound_is_extension_bound(self):
+        # the roots +-i 2^(1/4) of z^4 - 2 lie outside every Q_2(2^(1/E))
+        P = polys.from_rationals(B2, [-2, 0, 0, 0, 1])
+        with pytest.raises(ExtensionBound, match=r"E=8 > n\*gcd\(E, e0\) with e0=1, n=4"):
+            roots_with_mult(P)
+
+    def test_off_for_laurentfp(self):
+        # z^2 + z + 1/t over F_2((t)): the Artin-Schreier root
+        # t^(-1/2) + t^(-1/4) + ... is chased until the term cap, unpruned
+        P = [BF2.uniformizer_pow(-1), BF2.one(), BF2.one()]
+        with pytest.raises(PrecisionExhausted):
+            roots_with_mult(P)
+
+    def test_off_for_inexact_coefficients(self):
+        # z^2 + 1 with 1 known to 2^30: the branch toward i is not pruned, so
+        # it runs out of digits as before (exact, it is pruned at E = 4)
+        one = FieldElement(B2, {(0, 1): F(1)}, F(30))
+        with pytest.raises(PrecisionExhausted, match="polygon ambiguous"):
+            roots_with_mult([one, B2.zero(), B2.one()])
+        with pytest.raises(ExtensionBound, match="E=4"):
+            roots_with_mult(polys.from_rationals(B2, [1, 0, 1]))
+
+
+def pi_valuation(x, E):
+    """Valuation in units of 1/E of sum x_j pi^j, pi^E = 2, x_j integers;
+    None for 0.  Terms have distinct valuations mod E."""
+    vals = []
+    for j, c in enumerate(x):
+        if c:
+            vals.append(E * vp(F(c), 2) + j)
+    return min(vals, default=None)
+
+
+def minus_square(x, a, E):
+    """x^2 - a in Z[pi] / (pi^E - 2), on integer coordinate lists."""
+    out = [0] * E
+    for i, s in enumerate(x):
+        for j, t in enumerate(x):
+            k = i + j
+            out[k % E] += s * t * (2 if k >= E else 1)
+    out[0] -= a
+    return out
+
+
+def square_root_digits_die(a, E, depth):
+    """Search the 2-adic digits x = sum d_k pi^k, d_k in {0, 1}, of a square
+    root of a in Z_2[pi], pi = 2^(1/E), level by level: x^2 mod pi^k depends
+    only on x mod pi^j, j = max(ceil(k/2), k - E), so the prefixes of length j
+    with x^2 = a mod pi^k are complete.  Returns whether no prefix survives
+    to `depth`."""
+    prefixes = [()]
+    for k in range(1, depth + 1):
+        j = max(-(-k // 2), k - E)
+        grown = []
+        for pre in prefixes:
+            for n in range(2 ** (j - len(pre))):
+                digits = pre + tuple((n >> b) & 1 for b in range(j - len(pre)))
+                x = [0] * E
+                for m, d in enumerate(digits):
+                    x[m % E] += d * 2 ** (m // E)
+                v = pi_valuation(minus_square(x, a, E), E)
+                if v is None or v >= k:
+                    grown.append(digits)
+        prefixes = grown
+        if not prefixes:
+            return True
+    return False
+
+
+def test_sqrt_minus_one_outside_the_2adic_tower():
+    # the root-of-unity step of the tower bound for p = 2, by digit search;
+    # sqrt(-7) in Q_2 (and sqrt 2 = pi^(E/2)) are the positive controls
+    for E in range(1, 17):
+        assert square_root_digits_die(-1, E, 3 * E)
+        assert not square_root_digits_die(-7, E, 3 * E)
+        if E % 2 == 0:
+            assert not square_root_digits_die(2, E, 3 * E)
 
 
 class TestApproximateRoots:
@@ -449,7 +565,9 @@ class TestSquarefreeCertificate:
         with pytest.raises(ExtensionBound, match="proper extension of the residue field; not liftable"):
             roots_with_mult(P)
         assert roots_with_mult(P, partial=True) == []
-        assert gcd_calls == [2, 2]
+        # the descent's ExtensionBound is final; only the partial call, whose
+        # descent finds no root, reaches the gcd
+        assert gcd_calls == [2]
 
     def test_partial_descent_then_gcd(self, gcd_calls):
         # (z - 1)^2 (z^2 + 1) over the 3-adics: the partial descent finds
