@@ -19,6 +19,15 @@ when u' > u or val(b - b') < u'; a disc with a pole but no zero is tested the
 same way through 1/R against the inverted target.  Sub-discs map into the
 image of their disc, so no fiber point is lost, and the points found, their
 order and their multiplicities are those of the full descent.
+
+Over Q_p a fiber ball around roots outside the tower Q_p(p^(1/E)) would be
+chased by a wild chain: single children from width-p segments whose residue
+polynomial is a p-th power, E growing p-fold and the depths converging.  A
+node whose coefficients certify such a chain (`_wild_chain_misses`) bounds
+the depths by the cluster's tower distance L, which no tower point attains;
+its child is skipped unless the seminorm equation has a solution in [v, L),
+so the fiber's missing mass raises ExtensionBound, or is dropped under
+partial=True, instead of exhausting the precision budget.
 """
 
 from __future__ import annotations
@@ -34,12 +43,13 @@ from .errors import (
     PrecisionExhausted,
 )
 from .berkovich import BerkPoint
-from .fields import Backend, EQUICHARP, FieldElement, INF
+from .fields import Backend, EQUICHARP, FieldElement, INF, PADIC
 from . import polys
 from . import residue as rs
 from .roots import (
     ball_residue_poly,
     common_residue_field,
+    leading_term,
     lift_residue,
     residue_roots,
     roots_with_mult,
@@ -363,7 +373,8 @@ class RationalMap:
             ord0 = 0
             while ord0 < len(G) and G[ord0].is_zero_to_precision() and G[ord0].is_exact:
                 ord0 += 1
-            for seg in polys.newton_polygon(G[ord0:] if ord0 else G):
+            segs = polys.newton_polygon(G[ord0:] if ord0 else G)
+            for seg in segs:
                 slope = seg[0]
                 if -slope <= depth:
                     continue
@@ -383,6 +394,13 @@ class RationalMap:
                             raise PrecisionExhausted(
                                 "fiber center exhausted the precision budget"
                             )
+                        if (
+                            seg is segs[0]
+                            and not ord0
+                            and bk.kind == PADIC
+                            and _wild_chain_misses(G, segs, digit, A_z, Q_z, u, bk.p)
+                        ):
+                            continue  # its fiber points are unrepresentable
                         queue.append((child, v))
                 except ExtensionBound:
                     continue  # that branch's fiber points are unrepresentable
@@ -510,6 +528,106 @@ def _proportionality(res_a, res_q):
     if d is None or d.is_zero():
         return None
     return d
+
+
+# ---------------------------------------------------------------------------
+# wild chains of the type-II fiber descent
+
+
+def _wild_chain_misses(G, segs, a, A_z, Q_z, u, p) -> bool:
+    """Can the fiber descent over Q_p skip the child z + a pushed from the
+    first segment of G = F(z + h), because every fiber point below it needs a
+    center outside the tower Q_p(p^(1/E))?  False unless proven.
+
+    Hypotheses.  G is exact, its Newton polygon `segs` starts with [0, p] of
+    slope -v, and a = lift(theta) * p^v is that segment's digit.  Write
+    c_i = g_i / g_p, rho for the root valuation of the next segment (none:
+    -inf), L = val c_1 / (p - 1) and delta = L - v.  The node is certified
+    when
+      (1) 0 < delta and (p - 1 + 1/p) * delta <= 1;
+      (2) v - rho >= p * delta;
+      (3) val c_i + i*v >= p*L for 1 < i < p;
+      (4) val(c_0 + a^p) >= p*L;
+      (5) val(c_1 - lam) >= val c_1 + delta for a monomial lam = r * p^val(c_1),
+          r rational (tested with lam = lead g_1 / lead g_p).
+
+    Step.  The child z' = z + a is certified with the same L and rho and
+    v' = L - delta/p.  Expand G(a + k) = sum g'_m k^m, c'_m = g'_m / g'_p, and
+    bound each term of c'_m = sum_i binom(i, m) c_i a^(i-m), using
+    val c_i >= -(i - p)*rho for i > p (convexity of the polygon).  Then
+    N = c'_p = 1 + eta with val eta >= v - rho.  In c'_0 the term c_1 a has
+    valuation (p-1)L + v = p*v', and c_0 + a^p, c_i a^i (i != 0, 1, p) are
+    >= p*L by (4), (3), (2).  In c'_1 = c_1 + ..., the other terms are
+    >= (p-1)L + delta/p by (3), by (1) for p*a^(p-1) (valuation 1 + (p-1)v)
+    and by (2).
+    So val c'_1 = (p-1)L and (5) holds at z' with the same lam.  For
+    1 < m < p, val c'_m + m*v' >= p*L by (3), by (1) for binom(p, m) a^(p-m)
+    and by (2).  These c'_m lie strictly above the chord from (0, p*v') to
+    (p, 0); roots outside the cluster keep valuation <= rho < v'.  So [0, p] is
+    the first segment of G(a + k), of slope -v', and its residue polynomial
+    is y^p + q = (y + q)^p over F_p: one child a' = lift(-q) * p^v'.  For (4) at
+    z', write c'_0 + N a'^p as (c_0 + a^p) + (lam*a + a'^p) + (c_1 - lam)*a +
+    sum c_i a^i (i != 0, 1, p) + eta*a'^p.  lam*a + a'^p = (r*lift(theta) +
+    lift(-q)^p) * p^(p*v') with an integer multiple of p in front, since
+    q = r*theta in F_p, so it is >= 1 + p*v' >= p*L by (1).  The other terms
+    are >= p*L by (4), (5), (3), (2).  (1)-(3) hold at z' since v' > v and
+    delta' < delta.
+
+    Lemma.  From a certified node the descent toward the cluster would be an
+    infinite chain of single children at depths v_k = L - delta/p^k, each
+    keeping the p roots of the first segment (the cluster).  For each
+    cluster root alpha:
+    - no tower point c has v(alpha - c) >= L.  Otherwise c lies in some
+      Q_p(p^(1/D)).  Every center on the path from 0 to alpha is the previous
+      one plus lift * p^w, where w = v(alpha - center) = v(c - center) < L.
+      So by induction all centers lie in Q_p(p^(1/D)), and every v_k lies in
+      (1/D)Z, which fails for large k;
+    - its cluster mates lie at distance >= v_k for every k, so >= L.
+
+    The fiber below z'.  A fiber point zeta(c, t) there has c in the tower
+    with v(c - z') > v, and t > v.  (t = v is zeta(z, v), which z searches
+    itself.)  Its disc holds a root of F = (num - b*den)*den: a disc without
+    a pole maps onto the disc of its image point, which holds b.  So the
+    disc holds a cluster root alpha, zeta(c, t) = zeta(alpha, t), and
+    t <= v(c - alpha) < L.  On [v, L) the seminorm of R - b at zeta(alpha, t)
+    is Phi(t) = Phi_z(v) + s*(t - v), where Phi_z(t) = S_t(A_z) - S_t(Q_z)
+    and s = m_A - m_Q counts the cluster roots of A = num - b*den minus
+    those of den.  Roots r outside the cluster have v(alpha - r) <= rho < v,
+    and cluster roots lie at distance >= L.  s is the slope of Phi_z on
+    [rho, v], where no root valuation lies.  If Phi(t) = u has no solution in
+    [v, L), the subtree of z' holds no representable fiber point, and the
+    child is skipped.  An unliftable digit is skipped the same way.
+    """
+    slope, width, i0, _ = segs[0]
+    if i0 or width != p or not all(c.is_exact for c in G):
+        return False
+    v = -slope
+    vp = G[p].valuation()
+    L = (G[1].valuation() - vp) / (p - 1)
+    delta = L - v
+    if not 0 < delta <= 1 / (p - 1 + Fraction(1, p)):
+        return False
+    rho = -segs[1][0] if len(segs) > 1 else None
+    if rho is not None and v - rho < p * delta:
+        return False
+    level = vp + p * L
+    if any(G[i].valuation() + i * v < level for i in range(2, p)):
+        return False
+    if (G[0] + G[p] * a ** p).valuation() < level:
+        return False
+    lam = leading_term(G[1]) / leading_term(G[p])
+    if (G[1] - lam * G[p]).valuation() < G[1].valuation() + delta:
+        return False
+
+    def phi(t):
+        return polys.gauss_valuation(A_z, t) - polys.gauss_valuation(Q_z, t)
+
+    t0 = rho if rho is not None else v - 1
+    phi_v = phi(v)
+    s = (phi_v - phi(t0)) / (v - t0)
+    if s == 0:
+        return u != phi_v
+    return not v <= v + (u - phi_v) / s < L
 
 
 # ---------------------------------------------------------------------------

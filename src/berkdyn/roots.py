@@ -98,23 +98,35 @@ def ball_residue_poly(C, v, level):
     return rs.rpoly_trim(out)
 
 
+def _leading_key(c: FieldElement):
+    """The key of the leading term of c.  Keys are reduced and PADIC keeps
+    0 <= i < e, so terms of one element have distinct valuations and val c
+    names the leading key: (i, e) with i/e = val c for the series backends,
+    and the fractional part of val c for PADIC, whose coefficient then
+    carries p^floor(val c)."""
+    v = c.valuation()
+    if c.backend.kind == PADIC:
+        v = v % 1
+    return v.numerator, v.denominator
+
+
+def leading_term(c: FieldElement) -> FieldElement:
+    """The term of least valuation of c, as an exact element."""
+    key = _leading_key(c)
+    return FieldElement(c.backend, {key: c.terms[key]}, None)
+
+
 def _leading_residue(c: FieldElement) -> rs.ResidueElement:
-    """The residue of c * pi^(-val c), read off the leading term of c.  Keys
-    are reduced and PADIC keeps 0 <= i < e, so terms of one element have
-    distinct valuations and val c names the leading key: (i, e) with
-    i/e = val c for the series backends, and the fractional part of val c
-    for PADIC, whose coefficient then carries p^floor(val c)."""
+    """The residue of c * pi^(-val c), read off the leading term of c."""
     bk = c.backend
     v = c.valuation()
     if c.prec is not None and c.prec <= v:
         raise PrecisionExhausted("residue not determined at this precision")
+    lead = c.terms[_leading_key(c)]
     if bk.kind == PADIC:
-        a = v.numerator // v.denominator
-        f = v - a
         return bk.residue_field().from_fraction(
-            c.terms[f.numerator, f.denominator] / Fraction(bk.p) ** a
+            lead / Fraction(bk.p) ** (v.numerator // v.denominator)
         )
-    lead = c.terms[v.numerator, v.denominator]
     if bk.kind == EQUICHARP:
         if lead.field.k % bk.k:
             # the product with pi^(-val c) embeds the coefficient in the
@@ -222,12 +234,16 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
     precise-enough root, or push one more digit of every branch."""
     G = polys.recenter(F, z)  # F(z + h); its first two coefficients decide
     c0, c1 = G[0], G[1]
-    hit_exact = c0.is_zero_to_precision() and c0.is_exact
-    if hit_exact:
-        roots.append(z)
+    if c0.is_zero_to_precision() and (c0.is_exact or _isolates_root(G)):
+        # z is a root: exact, or to the precision that isolates it
+        if c0.is_exact:
+            roots.append(z)
+        else:
+            roots.append(_finalize(F, z, min(prec, c0.prec - c1.valuation())))
+            G = [bk.zero()] + G[1:]  # the other roots: as if z were exact
         if mult == 1:
             return
-        # the cluster holds further roots beyond this exact one; descend
+        # the cluster holds further roots beyond this one; descend
         mult -= 1
     else:
         if depth >= prec:
@@ -275,6 +291,21 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
             progressed = True
     if not progressed and not skipped:
         raise PrecisionExhausted("no further digits found for a root")
+
+
+def _isolates_root(G) -> bool:
+    """With G[0] zero only to its precision, does G hold exactly one root of
+    valuation >= G[0].prec - val G[1]?  It does when (1, val G[1]) is a
+    vertex of the Newton polygon for every G[0] of valuation >= G[0].prec,
+    bounding the other coefficients' valuations from below."""
+    c1 = G[1]
+    if c1.is_zero_to_precision():
+        return False
+    v1 = c1.valuation()
+    w = G[0].prec - v1
+    return all(
+        w > (v1 - c.valuation_lower_bound()) / (j - 1) for j, c in enumerate(G[2:], 2)
+    )
 
 
 def _mark_approx(z: FieldElement, prec: Fraction) -> FieldElement:
@@ -352,7 +383,10 @@ def _newton_refine(F, z, prec):
         if c0.is_zero_to_precision() and c0.is_exact:
             return z
         v1 = c1.valuation()
-        if c0.is_zero_to_precision() or c0.valuation() - v1 >= prec:
+        if c0.is_zero_to_precision():
+            # F is inexact: the root is z to c0's precision over c1
+            return _finalize(F, z, min(prec, c0.prec - v1))
+        if c0.valuation() - v1 >= prec:
             return _finalize(F, z, prec)
         z = z - c0 / c1
         if z.is_exact:
@@ -371,7 +405,9 @@ def roots_with_mult(F, prec=None, partial=False):
     splits over the representable field; raises ExtensionBound otherwise.
     With partial=True the representable roots are returned and the rest are
     silently dropped.  Roots are exact when possible, else correct to additive
-    precision `prec` (default: the backend's working precision)."""
+    precision `prec` (default: the backend's working precision).  A root of
+    an F with inexact coefficients carries its own precision, which may be
+    lower than `prec`: the data fixes it only so far."""
     found = _roots_impl(F, prec, partial)
     if not partial:
         total = sum(m for _, m in found)

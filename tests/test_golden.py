@@ -77,6 +77,13 @@ COMMANDS = {
         "preimages", "--backend", "padic:p=3", "--map", "(3-6*z+9*z^2+6*z^3)/6",
         "--point", '{"t":"I","v":"2/3"}',
     ],
+    # A type-II fiber around +-sqrt(3), which lie outside the tower
+    # Q_2(2^(1/e)): the wild-chain rule of the fiber descent makes it a typed
+    # ExtensionBound.
+    "preimages-wild-padic2": [
+        "preimages", "--backend", "padic:p=2", "--map", "z^2-3",
+        "--point", '{"t":"II","c":"0","logr":"2"}',
+    ],
     "local-degree-laurentfp": [
         "local-degree", "--backend", "laurentfp:p=2", "--map", "z^2+z",
         "--point", '{"t":"II","c":"[(1/2,1)]","logr":"1"}',
@@ -86,6 +93,7 @@ COMMANDS = {
 # Commands whose pinned answer is a typed error, with their exit code.
 EXIT_CODES = {
     "preimages-laurentfp-p5": 3, "preimages-laurentfp-ext": 3, "preimages-wild-padic3": 3,
+    "preimages-wild-padic2": 3,
 }
 
 _SECONDS = re.compile(r"  \d+\.\d\d$", re.M)

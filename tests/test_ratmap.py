@@ -11,9 +11,14 @@ Oracles:
 - pruned fiber descent: disc images against the tree order, with zeros and
   poles known by construction; Moebius fibers against the inverse map; fibers
   of 1/P against fibers of the polynomial P; fibers of R against fibers of
-  1/R over the inverted target.
+  1/R over the inverted target;
+- wild chains: tower distances worked out by hand and checked by an integer
+  digit search, fiber centres by sympy valuations in Q[x]/(x^E - p), and
+  fibers of polynomials whose roots lie in the tower, by construction or by a
+  sympy Newton-polygon certificate, found in full.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -27,13 +32,14 @@ from berkdyn import (
     INF,
     PADIC,
     ParamDomain,
-    PrecisionExhausted,
 )
 from berkdyn import polys
 from berkdyn import ratmap
 from berkdyn.berkovich import BerkPoint, hyperbolic_distance, order_leq, seminorm_eval
+from berkdyn.fields import FieldElement
 from berkdyn.measures import AtomicMeasure, pushforward
 from berkdyn.ratmap import RationalMap
+from berkdyn.roots import roots_with_mult
 
 B2 = Backend(PADIC, p=2)
 B3 = Backend(PADIC, p=3)
@@ -334,7 +340,7 @@ class TestPreimages:
             )
             try:
                 pre = R.preimages(T)
-            except (ExtensionBound, PrecisionExhausted):
+            except ExtensionBound:
                 continue
             assert sum(m for _, m in pre) == R.degree
             assert len(pre) <= R.topological_degree()
@@ -439,7 +445,7 @@ class TestRepeatedQueries:
             R = RationalMap.from_rationals(B3, num, den)
             try:
                 fiber = R.preimages(T)
-            except (ExtensionBound, PrecisionExhausted):
+            except ExtensionBound:
                 continue
             resolved += 1
             for S, m in fiber:
@@ -566,7 +572,7 @@ class TestFiberPruning:
             )
             try:
                 want = Pmap.preimages(inv.image_point(T))
-            except (ExtensionBound, PrecisionExhausted):
+            except ExtensionBound:
                 continue  # no oracle: the polynomial fiber itself is out of reach
             if any(holds(S, zeros) for S, _ in want) == polar:
                 out.append((Pmap.target_inverted(), T, dict(want)))
@@ -600,7 +606,7 @@ class TestFiberPruning:
         def fiber(R, T):
             try:
                 return dict(R.preimages(T))
-            except (ExtensionBound, PrecisionExhausted):
+            except ExtensionBound:
                 return None
 
         items = []
@@ -641,3 +647,254 @@ class TestFiberPruning:
         with pytest.raises(ExtensionBound, match="found multiplicity 2 of 4"):
             R.preimages(T)
         assert 0 < len(calls) <= 100
+
+
+def coords_mul(x, y, p, D):
+    """x * y in Z[pi] / (pi^D - p), on integer coordinate lists."""
+    out = [0] * D
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            k = i + j
+            out[k % D] += s * t * p ** (k // D)
+    return out
+
+
+def coords_valuation(x, p, D):
+    """Valuation of sum x_j pi^j, pi^D = p, in units of 1/D (None for 0):
+    the terms have distinct valuations mod 1."""
+    vals = []
+    for j, c in enumerate(x):
+        if c:
+            vals.append(D * _vp_int(c, p) + j)
+    return min(vals, default=None)
+
+
+def _vp_int(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def tower_points_within(poly, d, p, D):
+    """Points c of Z_p[p^(1/D)] within distance d of a root of the monic
+    integer polynomial `poly` (ascending), when its roots are pairwise at
+    distance >= d: then v(poly(c)) >= deg * min(d, v(c - root)), so a digit
+    search over c mod pi^ceil(d*D) with v(poly(c_k)) >= deg * min(d*D, k)
+    (units of 1/D) at each length k finds all of them."""
+    n = len(poly) - 1
+
+    def value(c):
+        acc = [0] * D
+        for a in reversed(poly):
+            acc = coords_mul(acc, c, p, D)
+            acc[0] += a
+        return acc
+
+    frontier = [[0] * D]
+    for k in range(math.ceil(d * D)):
+        grown = []
+        for c in frontier:
+            for digit in range(p):
+                c2 = list(c)
+                c2[k % D] += digit * p ** (k // D)
+                v = coords_valuation(value(c2), p, D)
+                if v is None or v >= n * min(d * D, k + 1):
+                    grown.append(c2)
+        frontier = grown
+    return frontier
+
+
+def vp_at(expr, c, E=1):
+    """v_p(expr(c)) for a PADIC element c = sum r * p^(i/e), computed with
+    sympy in Q[x] / (x^E - p), x = p^(1/E), where 1, x, ..., x^(E-1) have
+    valuations of distinct fractional parts.  expr is in z and, when its
+    coefficients lie in the tower, in x with this E (E is made a multiple of
+    c's denominators)."""
+    sympy = pytest.importorskip("sympy")
+    p = c.backend.p
+    E = math.lcm(E, *(e for _, e in c.terms))
+    x, z = sympy.symbols("x z")
+    cx = sum(sympy.Rational(r.numerator, r.denominator) * x ** (i * E // e)
+             for (i, e), r in c.terms.items())
+    rem = sympy.Poly(sympy.rem(sympy.expand(expr.subs(z, cx)), x ** E - p, x), x)
+    return min(
+        F(sympy.multiplicity(p, coeff)) + F(j, E) for (j,), coeff in rem.terms()
+    )
+
+
+class TestWildChains:
+    """Type-II fibers around roots outside the tower Q_p(p^(1/E)), whose
+    descent is a wild chain: one child per node, width-p polygon segments,
+    depths converging to the roots' tower distance L.
+
+    Worked out by hand:
+    - (z-1)^3 - 6 over Q_3: the roots are 1 + b*w^j with b^3 = 6, w^3 = 1,
+      v(b) = 1/3 and v(1 - w) = 1/2 ((1 - w)^2 = -3w), so they are pairwise
+      5/6 apart.  Toward a root, S_t((z-1)^3 - 6) = 3t for t <= 5/6.  The
+      descent's depths are 2/3, 7/9, 22/27, ... -> 5/6, so L = 5/6.
+    - z^2 - 3 over Q_2: (sqrt3 - 1)(sqrt3 + 1) = 2 with both factors of one
+      valuation, so v(sqrt3 - 1) = 1/2; +-sqrt3 are 2*sqrt3 apart, at
+      distance 1, and S_t(z^2 - 3) = 2t for t <= 1.  The depths are 1/2,
+      3/4, 7/8, ... -> 1, so L = 1.
+    So the fiber of zeta(0, u) is one point of full multiplicity at radius
+    u/deg while u/deg < L; at u/deg = L it would need a tower point at
+    distance L from a root, and beyond L it splits into points around
+    single roots.  `test_no_tower_point_at_the_tower_distance` checks that
+    no tower point of small degree lies at distance L."""
+
+    CASES = [("(z-1)^3-6", B3, F(5, 6)), ("z^2-3", B2, F(1))]
+
+    @pytest.mark.parametrize(
+        "text,bk,targets",
+        [("(z-1)^3-6", B3, [F(2), F(12, 5)]), ("z^2-3", B2, [F(1), F(3, 2), F(7, 4)])],
+    )
+    def test_fibers_below_the_tower_distance(self, text, bk, targets):
+        sympy = pytest.importorskip("sympy")
+        R = RationalMap.parse(text, bk)
+        deg = R.degree
+        for u in targets:
+            T = BerkPoint.type_ii(bk.zero(), u)
+            for partial in (False, True):
+                fiber = R.preimages(T, partial=partial)
+                assert [(S.logr, m) for S, m in fiber] == [(u / deg, deg)]
+            (S, _), = fiber
+            assert vp_at(sympy.sympify(text.replace("^", "**")), S.value) >= deg * S.logr
+            assert R.image_point(S) == T
+
+    @pytest.mark.parametrize("text,bk,L", CASES)
+    def test_no_fiber_at_or_beyond_the_tower_distance(self, text, bk, L):
+        R = RationalMap.parse(text, bk)
+        for u in (R.degree * L, F(3)):
+            T = BerkPoint.type_ii(bk.zero(), u)
+            with pytest.raises(ExtensionBound, match=f"found multiplicity 0 of {R.degree}"):
+                R.preimages(T)
+            assert R.preimages(T, partial=True) == []
+
+    @pytest.mark.parametrize(
+        "poly,p,L,degrees,reached",
+        [
+            ([-7, 3, -3, 1], 3, F(5, 6), range(1, 13), (9, F(7, 9))),  # (z-1)^3 - 6
+            ([-3, 0, 1], 2, F(1), range(1, 17), (8, F(7, 8))),  # z^2 - 3
+        ],
+    )
+    def test_no_tower_point_at_the_tower_distance(self, poly, p, L, degrees, reached):
+        # a digit search with integers only, independent of the library:
+        # no point of Q_p(p^(1/D)) lies at distance L from a root, and the
+        # descent's depths are reached (positive control)
+        for D in degrees:
+            assert tower_points_within(poly, L, p, D) == [], D
+        D, depth = reached
+        assert tower_points_within(poly, depth, p, D)
+
+    # fiber-sweep's phantom items (criterion 06's corpus and its conjugates
+    # by z -> -z over Q_3), and a fiber over Q_2 whose descent took 4 s
+    PHANTOMS = [
+        (B3, [0, 2], [-7, -9, -3, -3], 1, -2),
+        (B3, [0, 2], [-7, 9, -3, 3], -1, -2),
+        (B3, [7, -3, 3, 2], [-1, 0, -9, 7], 1, 3),
+        (B3, [-7, -3, -3, 2], [-1, 0, -9, -7], -1, 3),
+        (B2, [F(-3, 8)], [0, 0, F(-3, 8), 1], 14, 4),
+    ]
+
+    @pytest.mark.parametrize("bk,num,den,c,u", PHANTOMS)
+    def test_phantom_fibers_are_extension_bound(self, bk, num, den, c, u):
+        R = RationalMap.from_rationals(bk, num, den)
+        T = BerkPoint.type_ii(bk.from_int(c), u)
+        with pytest.raises(ExtensionBound, match="fiber is not fully representable"):
+            R.preimages(T)
+        for S, m in R.preimages(T, partial=True):
+            assert R.image_point(S) == T
+            assert m == R.local_degree(S)
+
+    @staticmethod
+    def tower_element(bk, rng, v, E):
+        """A random point of Q_p(p^(1/E)) of valuation v."""
+        x = bk.from_int(rng.randint(1, bk.p - 1)) * bk.uniformizer_pow(v)
+        for _ in range(rng.randint(0, 3)):
+            shift = F(rng.randint(1, 3 * E), E)
+            x = x + bk.from_int(rng.randint(1, bk.p - 1)) * bk.uniformizer_pow(v + shift)
+        return x
+
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_clusters_of_tower_roots_are_never_cut(self, bk):
+        # P = prod (z - r) over tower points r: p roots m + s_j at one
+        # distance from m (a cluster, as in a wild chain), and maybe one
+        # more.  A fiber point of zeta(0, u) is a ball around a root of P, so
+        # every such fiber is representable and must be found in full.
+        rng = random.Random(7)
+        for _ in range(60):
+            E = rng.choice([1, 2, 3, 4, 6, 8, 9])
+            m = self.tower_element(bk, rng, F(rng.randint(-2, 2), rng.choice([1, 2, 3])), E)
+            d = F(rng.randint(0, 3 * E), E)
+            zeros = [m + self.tower_element(bk, rng, d, E) for _ in range(bk.p)]
+            zeros += [self.tower_element(bk, rng, F(rng.randint(-2, 1)), E)
+                      for _ in range(rng.randint(0, 1))]
+            P = [bk.one()]
+            for r in zeros:
+                P = polys.mul(P, [-r, bk.one()])
+            R = RationalMap(P, [bk.one()])
+            T = BerkPoint.type_ii(bk.zero(), F(rng.randint(-4, 4 * E * bk.p), E))
+            fiber = R.preimages(T)
+            assert sum(m for _, m in fiber) == R.degree
+            for S, _ in fiber:
+                assert R.image_point(S) == T
+
+    @pytest.mark.parametrize(
+        "bk,E,coeffs,u,fiber",
+        [
+            # z^2 + (2^(1/4) + 2^(5/8)) z + 2 - 2^(1/2)/2: condition (5)
+            (B2, 8, [{0: 2, 4: F(-1, 2)}, {2: 1, 5: 1}, {0: 1}], F(1, 2), [(F(1, 4), 2)]),
+            # z^3 + 6 z^2 + (18*3^(1/6) + 6*3^(2/3)) z + 54 - 24*3^(1/2): (3)
+            (B3, 12, [{0: 54, 6: -24}, {2: 18, 8: 6}, {0: 6}, {0: 1}], F(5, 2), [(1, 1)] * 3),
+        ],
+    )
+    def test_certificate_conditions_guard_chains_that_split(self, bk, E, coeffs, u, fiber):
+        # Each polynomial starts like a wild chain, and the certificate
+        # without the condition named cuts it (found by random search); but
+        # it splits in Q_p(p^(1/E)), x = p^(1/E), so its fiber of zeta(0, u)
+        # is representable and must be found.  Certificate of the roots,
+        # independent of the descent, with sympy: at each approximate root
+        # r, (1, v(P'(r))) is a vertex of the Newton polygon of P(r + y),
+        # whose width-1 first segment then holds a root in Q_p(p^(1/E)) at
+        # distance >= v(P(r)) - v(P'(r)) from r; these roots are distinct.
+        sympy = pytest.importorskip("sympy")
+        x, z = sympy.symbols("x z")
+        P = [sum((bk.from_rational(F(r)) * bk.uniformizer_pow(F(j, E)) for j, r in c.items()),
+                 bk.zero()) for c in coeffs]
+        expr = sum(sum(F(r) * x**j for j, r in c.items()) * z**i for i, c in enumerate(coeffs))
+        taylor = [sympy.diff(expr, z, k) / math.factorial(k) for k in range(len(P))]
+        # a few digits suffice, and E = 12 roots to full precision take 14 s
+        roots = [FieldElement(bk, r.terms, None) for r, _ in roots_with_mult(P, prec=8)]
+        reach = []
+        assert len(roots) == len(P) - 1
+        for r in roots:
+            v = [vp_at(g, r, E) for g in taylor]
+            assert v[0] - v[1] > max((v[1] - v[k]) / (k - 1) for k in range(2, len(P)))
+            reach.append(v[0] - v[1])
+        for i, j in [(i, j) for i in range(len(roots)) for j in range(i)]:
+            assert (roots[i] - roots[j]).valuation() < min(reach[i], reach[j])
+        R = RationalMap(P, [bk.one()])
+        got = R.preimages(BerkPoint.type_ii(bk.zero(), u))
+        assert [(S.logr, m) for S, m in got] == fiber
+        for S, _ in got:
+            assert vp_at(expr, S.value, E) >= u
+            assert R.image_point(S) == BerkPoint.type_ii(bk.zero(), u)
+
+    @pytest.mark.parametrize(
+        "bk,num,den,c,u,nodes",
+        [(B2, [F(-3, 8)], [0, 0, F(-3, 8), 1], 14, 4, 9), (B2, [-3, 0, 1], [1], 0, 2, 2)],
+    )
+    def test_wild_chains_stop_early(self, monkeypatch, bk, num, den, c, u, nodes):
+        # descent nodes, counted by recentrings of (num, den); a wild chain
+        # followed to the precision budget takes 47 and 41 of them
+        calls = []
+        recentered = RationalMap._recentered
+        monkeypatch.setattr(
+            RationalMap, "_recentered", lambda R, a: calls.append(a) or recentered(R, a)
+        )
+        R = RationalMap.from_rationals(bk, num, den)
+        with pytest.raises(ExtensionBound):
+            R.preimages(BerkPoint.type_ii(bk.from_int(c), u))
+        assert len(calls) == nodes
