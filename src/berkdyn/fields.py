@@ -636,7 +636,21 @@ def uniformizer_pow(b: Backend, q) -> FieldElement:
     return b.uniformizer_pow(q)
 
 
-def residue_roots(coeffs, k_max=DEFAULT_KMAX):
+class UnsplitRoots:
+    """Stands, as the last entry of a residue_roots list, for roots that were
+    not computed: those of the first level beyond `split_k` that holds any,
+    whose smallest field is F_(p^k)."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __repr__(self):
+        return f"UnsplitRoots(k={self.k})"
+
+
+def residue_roots(coeffs, k_max=DEFAULT_KMAX, split_k=None):
     """Roots of a polynomial over a residue field, searching extensions up
     to degree k_max.
 
@@ -648,8 +662,14 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
     within F_{p^k_max} and roots are missing: the roots whose smallest field
     over F_q is F_{q^m}, in ResidueField.elements() order.  The distinct-
     degree step gives, over F_q, the product g_m of the irreducible factors
-    of degree m; residue.rpoly_split_roots finds its roots in F_{q^m}.  A
-    level without such factors is skipped without embedding anything."""
+    of degree m; residue.rpoly_split_roots finds its roots in F_{q^m}, one
+    equal-degree split per Frobenius orbit.  A level without such factors is
+    skipped without embedding anything.
+
+    Only the levels the caller can use are split: the first level whose
+    field F_(p^k) has k > split_k (default k_max) and that holds roots ends
+    the list as (UnsplitRoots(k), the multiplicity of every root not listed
+    before it), and F_(p^k) is neither built nor searched."""
     coeffs = rs.rpoly_trim(list(coeffs))
     if rs.rpoly_degree(coeffs) < 1:
         raise ValueError("residue_roots needs deg >= 1")
@@ -659,6 +679,7 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
         if not found:
             raise ExtensionBound("no rational residue roots")
         return found
+    split_k = k_max if split_k is None else split_k
     base_k = field.k
     p = field.p
     found = []
@@ -680,10 +701,14 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX):
                 g = rs.rpoly_divmod(g, g_d, field)[0]
         if len(g) < 2:
             continue
+        if base_k * m > split_k:
+            found.append((UnsplitRoots(base_k * m), deg - total_mult))
+            break
         level_factors[m] = g
         big = rs.ResidueField(p, base_k * m)
         emb = [rs.embed_element(c, big) for c in coeffs]
-        for cand in rs.rpoly_split_roots([rs.embed_element(c, big) for c in g], big):
+        g_big = [rs.embed_element(c, big) for c in g]
+        for cand in rs.rpoly_split_roots(g_big, big, p**base_k):
             if not rs.rpoly_eval(emb, cand).is_zero():
                 continue
             mult = 0

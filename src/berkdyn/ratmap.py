@@ -49,9 +49,9 @@ from . import residue as rs
 from .roots import (
     ball_residue_poly,
     common_residue_field,
+    digit_roots,
     leading_term,
     lift_residue,
-    residue_roots,
     roots_with_mult,
     segment_residue_poly,
 )
@@ -382,7 +382,7 @@ class RationalMap:
                     res_poly, v = segment_residue_poly(
                         G[ord0:] if ord0 else G, seg
                     )
-                    for theta, _mu in residue_roots(res_poly, k_max=bk.k_max):
+                    for theta, _mu in digit_roots(bk, res_poly):
                         digit = lift_residue(bk, theta) * bk.uniformizer_pow(v)
                         child = z + digit
                         if child.prec is not None:

@@ -22,6 +22,7 @@ from .fields import (
     FieldElement,
     INF,
     PADIC,
+    UnsplitRoots,
     residue_roots,
 )
 from . import polys
@@ -30,20 +31,32 @@ from . import residue as rs
 _MAX_DESCENT_STEPS = 500
 
 
+def digit_roots(bk: Backend, res_poly):
+    """The residue roots of one digit step, [(theta, multiplicity)] from
+    residue_roots.  Only the levels that lift_residue can lift are split:
+    over PADIC that is F_p alone, and a further level holding roots ends the
+    list as an UnsplitRoots mark."""
+    return residue_roots(
+        res_poly, k_max=bk.k_max, split_k=bk.k if bk.kind == PADIC else bk.k_max
+    )
+
+
 def lift_residue(bk: Backend, theta: rs.ResidueElement) -> FieldElement:
-    """Canonical lift of a residue element to a valuation-0 (or 0) element."""
-    if theta.is_zero():
-        return bk.zero()
-    if theta.field.is_rational:
-        return bk.from_rational(theta.value)
-    if bk.kind == PADIC:
+    """Canonical lift of a residue element to a valuation-0 (or 0) element.
+    The UnsplitRoots mark of digit_roots stands for digits it cannot lift."""
+    if not isinstance(theta, UnsplitRoots):
+        if theta.is_zero():
+            return bk.zero()
+        if theta.field.is_rational:
+            return bk.from_rational(theta.value)
+        if bk.kind != PADIC:
+            return bk.from_term(Fraction(0), theta)
         if theta.field.k == 1:
             return bk.from_int(theta.value[0])
-        raise ExtensionBound(
-            "residue digit lies in a proper extension of the residue field; "
-            "not liftable in this backend"
-        )
-    return bk.from_term(Fraction(0), theta)
+    raise ExtensionBound(
+        "residue digit lies in a proper extension of the residue field; "
+        "not liftable in this backend"
+    )
 
 
 def pth_root_element(x: FieldElement) -> FieldElement:
@@ -232,8 +245,12 @@ def squarefree_roots(F, prec, partial=False):
 def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
     """Process one node of the digit-descent tree: record an exact or
     precise-enough root, or push one more digit of every branch."""
-    G = polys.recenter(F, z)  # F(z + h); its first two coefficients decide
-    c0, c1 = G[0], G[1]
+    # the first two coefficients of G = F(z + h) decide; G is recentred in
+    # full only for _isolates_root and for the next digit
+    c0, c1 = _taylor_head(F, z)
+    G = None
+    if c0.is_zero_to_precision() and not c0.is_exact:
+        G = polys.recenter(F, z)
     if c0.is_zero_to_precision() and (c0.is_exact or _isolates_root(G)):
         # z is a root: exact, or to the precision that isolates it
         if c0.is_exact:
@@ -259,6 +276,8 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
                 roots.append(_newton_refine(F, z, prec))
                 return
     # one more digit: polygon of F(z + h), segments deeper than `depth`
+    if G is None:
+        G = polys.recenter(F, z)
     progressed = False
     skipped = False
     for seg in polys.newton_polygon(G):
@@ -267,7 +286,7 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
             continue
         res_poly, v = segment_residue_poly(G, seg)
         try:
-            branches = residue_roots(res_poly, k_max=bk.k_max)
+            branches = digit_roots(bk, res_poly)
         except ExtensionBound:
             if partial:
                 skipped = True

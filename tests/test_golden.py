@@ -84,6 +84,21 @@ COMMANDS = {
         "preimages", "--backend", "padic:p=2", "--map", "z^2-3",
         "--point", '{"t":"II","c":"0","logr":"2"}',
     ],
+    # Type-I fibers whose residue roots over F_3 do not all lie in F_3: one
+    # typed error each for no root within F_(3^k_max), for a factor beyond
+    # k_max beside a liftable root, and for a root in F_9.
+    "preimages-beyond-kmax-padic3": [
+        "preimages", "--backend", "padic:p=3", "--map", "z^5-z+1",
+        "--point", '{"t":"I","v":"0"}',
+    ],
+    "preimages-short-split-padic3": [
+        "preimages", "--backend", "padic:p=3", "--map", "(z-1)*(z^5-z+1)",
+        "--point", '{"t":"I","v":"0"}',
+    ],
+    "preimages-unliftable-padic3": [
+        "preimages", "--backend", "padic:p=3", "--map", "(z-1)*(z^2+1)",
+        "--point", '{"t":"I","v":"0"}',
+    ],
     "local-degree-laurentfp": [
         "local-degree", "--backend", "laurentfp:p=2", "--map", "z^2+z",
         "--point", '{"t":"II","c":"[(1/2,1)]","logr":"1"}',
@@ -93,7 +108,8 @@ COMMANDS = {
 # Commands whose pinned answer is a typed error, with their exit code.
 EXIT_CODES = {
     "preimages-laurentfp-p5": 3, "preimages-laurentfp-ext": 3, "preimages-wild-padic3": 3,
-    "preimages-wild-padic2": 3,
+    "preimages-wild-padic2": 3, "preimages-beyond-kmax-padic3": 3,
+    "preimages-short-split-padic3": 3, "preimages-unliftable-padic3": 3,
 }
 
 _SECONDS = re.compile(r"  \d+\.\d\d$", re.M)

@@ -4,6 +4,7 @@ Oracles: schoolbook products reduced by the field modulus on plain integer
 tuples, a brute-force root enumerator over every element of F_{p^m} with a
 Frobenius test for the minimal level, and sympy's factorization over F_p."""
 
+import functools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ import sympy
 
 from berkdyn import ExtensionBound
 from berkdyn import residue as rs
-from berkdyn.fields import residue_roots
+from berkdyn.fields import UnsplitRoots, residue_roots
 
 # -- plain-integer arithmetic in GF(p, k) = F_p[x]/(modulus) -----------------
 
@@ -214,7 +215,7 @@ def test_trace_split_in_characteristic_two():
     for r in chosen:
         g = rs.rpoly_mul(g, [-rs.ResidueElement(big, r), big.one()], big)
     assert big.p**big.k > rs.ENUMERATE_PER_DEGREE * 3
-    got = [r.value for r in rs.rpoly_split_roots(g, big)]
+    got = [r.value for r in rs.rpoly_split_roots(g, big, 2**8)]
     assert got == [x for x in gf_elements(2, 8) if x in chosen]
 
 
@@ -253,3 +254,85 @@ def test_irreducible_cubic_over_f101():
     for v in values:
         assert gf_eval([(c, 0, 0) for c in coeffs], v, mod, p) == (0, 0, 0)
 
+
+
+def random_irreducible(rng, p, k, deg):
+    """A random monic irreducible of degree deg <= 4 over GF(p, k), by brute
+    force: one without roots in GF(p, k) (deg 2 or 3), or in GF(p, 2k)
+    (deg 4, which then has no factor of degree 1 or 2)."""
+    one = (1,) + (0,) * (k - 1)
+    K = 2 * k if deg == 4 else k
+    beta = brute_embedding(p, k, K) if K > k else None
+    mod = rs.ResidueField(p, K).modulus
+    while True:
+        f = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(deg)] + [one]
+        emb = [brute_embed(c, p, K, beta) for c in f] if beta else f
+        if deg == 1 or all(gf_eval(emb, x, mod, p) != (0,) * K for x in gf_elements(p, K)):
+            return f
+
+
+@functools.lru_cache(maxsize=None)
+def _split_corpus(p, k):
+    """[(coefficients, brute_roots)] for products of distinct irreducibles
+    over GF(p, k) whose roots lie in GF(p^4): two or three factors, some of
+    one degree, one factor squared in some; the first product has two
+    factors of degree 4 / k.  A factor that keeps repeating one already
+    drawn (F_2 has one irreducible quadratic) is left out."""
+    rng = random.Random(100 * p + k)
+    out = []
+    top = 4 // k
+    for n in range(6 if p**4 <= 2401 else 3):
+        degs = [top, top] if n == 0 else [
+            rng.choice([d for d in (1, 2, 4) if d <= top]) for _ in range(rng.randint(2, 3))
+        ]
+        factors = []
+        for d in degs:
+            for _ in range(20):
+                f = random_irreducible(rng, p, k, d)
+                if f not in factors:
+                    factors.append(f)
+                    break
+        coeffs = [(1,) + (0,) * (k - 1)]
+        for f in factors:
+            coeffs = poly_mul(coeffs, f, p, k)
+        if rng.random() < 0.4:
+            coeffs = poly_mul(coeffs, factors[0], p, k)
+        out.append((coeffs, brute_roots(coeffs, p, k, 4)))
+    return out
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["default", "always-split"])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (11, 1), (2, 2), (3, 2), (7, 2)])
+def test_orbit_split_matches_brute_force(monkeypatch, p, k, split):
+    """Roots, their order and multiplicities from one equal-degree split per
+    Frobenius orbit against evaluation at every element.  `always-split`
+    takes the split on every field, so that p = 2 (the trace split) and
+    small fields reach it too."""
+    if split:
+        monkeypatch.setattr(rs, "ENUMERATE_PER_DEGREE", 0)
+    for coeffs, want in _split_corpus(p, k):
+        assert library_roots(coeffs, p, k, 4) == want, coeffs
+
+
+def test_levels_beyond_split_k_are_reported_unsplit(monkeypatch):
+    """With split_k = 1 over F_3, the roots in F_3 come first and the first
+    further level holding roots ends the list, with the multiplicity of every
+    root not listed, without building its field; a factor beyond k_max alone
+    adds no mark."""
+    built = []
+    init = rs.ResidueField.__init__
+    monkeypatch.setattr(rs.ResidueField, "__init__", lambda f, p, k=1: built.append(k) or init(f, p, k))
+    f3 = rs.ResidueField(3)
+    x = sympy.Symbol("x")
+
+    def roots(expr, split_k):
+        coeffs = [f3.from_int(int(c)) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+        return [(r.k if isinstance(r, UnsplitRoots) else r.value, m) for r, m in residue_roots(coeffs, 4, split_k)]
+
+    # x^2 + 1, x^3 - x + 1 and x^5 - x + 1 are irreducible over F_3
+    assert roots((x - 1) ** 2 * (x**2 + 1) * (x**3 - x + 1), 1) == [((1,), 2), (2, 5)]
+    assert roots((x**3 - x + 1) * (x**5 - x + 1), 1) == [(3, 8)]
+    assert roots((x - 1) * (x**5 - x + 1), 1) == [((1,), 1)]
+    assert [k for k in built if k > 1] == []
+    # split_k = k_max splits every level: 2 + 3 roots, beside the root in F_3
+    assert [m for _, m in roots((x - 1) * (x**2 + 1) * (x**3 - x + 1), 4)] == [1] * 6

@@ -13,6 +13,8 @@ from berkdyn import polys
 from berkdyn import roots as rt
 from berkdyn import residue as rs
 from berkdyn.fields import FieldElement
+from berkdyn.berkovich import BerkPoint
+from berkdyn.ratmap import RationalMap
 from berkdyn.roots import _leading_residue, ball_residue_poly, pth_root_element, roots_with_mult
 
 B2 = Backend(PADIC, p=2)
@@ -307,6 +309,21 @@ class TestTowerBound:
                 assert min(prec or F(109, 4), F(77, 4)) <= r.prec <= F(109, 4)
                 assert polys.evaluate(exact, r).valuation_lower_bound() >= r.prec
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: _newton_refine's steps z - c0/c1 on an inexact c0 "
+        "lose precision; -2^(1/4) comes back at 77/4 (ROADMAP item 8)",
+    )
+    def test_inexact_quartic_roots_reach_the_requested_precision(self):
+        # 2 + O(2^30) fixes each root to 109/4 > 20, so both can be given
+        # to the requested precision 20
+        two = FieldElement(B2, {(0, 1): F(2)}, F(30))
+        P = [-two, B2.zero(), B2.zero(), B2.zero(), B2.one()]
+        got = roots_with_mult(P, prec=20, partial=True)
+        assert len(got) == 2
+        assert all(r.prec >= 20 for r, _ in got), [r.prec for r, _ in got]
+
 
 def pi_valuation(x, E):
     """Valuation in units of 1/E of sum x_j pi^j, pi^E = 2, x_j integers;
@@ -597,6 +614,59 @@ class TestSquarefreeCertificate:
         got = roots_with_mult(P, partial=True)
         assert [(r.as_rational(), m) for r, m in got] == [(1, 2)]
         assert gcd_calls == [4]
+
+
+# -- PADIC digits lie in F_p: further residue levels are reported, not split --
+
+
+@pytest.fixture
+def residue_work(monkeypatch):
+    """The degree k of every ResidueField(p, k) built, and the number of
+    equal-degree splits."""
+    built, splits = [], []
+    init, split = rs.ResidueField.__init__, rs._split
+
+    def counted_init(self, p, k=1):
+        built.append(k)
+        init(self, p, k)
+
+    monkeypatch.setattr(rs.ResidueField, "__init__", counted_init)
+    monkeypatch.setattr(rs, "_split", lambda *args: splits.append(1) or split(*args))
+    return built, splits
+
+
+class TestPadicResidueLevels:
+    # (root in Q_p or None, a factor irreducible over F_p of degree 2, 3 or
+    # 4: z^2 + 1, z^3 - z + 1 and z^4 + z + 2 over F_3, z^3 + z + 4 over F_11)
+    CASES = [
+        (B3, 1, Z**2 + 1),
+        (B3, -1, Z**3 - Z + 1),
+        (B3, 1, Z**4 + Z + 2),
+        (B3, None, (Z**2 + 1) * (Z**3 - Z + 1)),
+        (Backend(PADIC, p=11), 2, Z**3 + Z + 4),
+    ]
+
+    @pytest.mark.parametrize("bk,root,factor", CASES)
+    def test_descent_builds_no_extension(self, residue_work, bk, root, factor):
+        P = sympy_poly(bk, factor if root is None else (Z - root) * factor)
+        with pytest.raises(ExtensionBound, match="proper extension of the residue field; not liftable"):
+            roots_with_mult(P)
+        got = roots_with_mult(P, partial=True)
+        assert [(r.as_rational(), m) for r, m in got] == ([] if root is None else [(root, 1)])
+        built, splits = residue_work
+        assert [k for k in built if k > 1] == []
+        assert splits == []
+
+    def test_fiber_descent_builds_no_extension(self, residue_work):
+        # the type-II fiber of z^2 + 1 over zeta(0, 1): its residue roots are
+        # +-i in F_9, so the fiber is not representable over Q_3
+        R = RationalMap.from_rationals(B3, [1, 0, 1], [1])
+        with pytest.raises(ExtensionBound):
+            R.preimages(BerkPoint.type_ii(B3.zero(), F(1)))
+        assert R.preimages(BerkPoint.type_ii(B3.zero(), F(1)), partial=True) == []
+        built, splits = residue_work
+        assert [k for k in built if k > 1] == []
+        assert splits == []
 
 
 @pytest.mark.xfail(
