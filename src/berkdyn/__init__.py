@@ -25,8 +25,6 @@ from .fields import (
     PADIC,
     parse_backend,
     residue_roots,
-    uniformizer_pow,
-    valuation,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "PADIC",
     "parse_backend",
     "residue_roots",
-    "uniformizer_pow",
-    "valuation",
     "BerkdynError",
     "DivisionByZero",
     "ExtensionBound",

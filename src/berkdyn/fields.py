@@ -63,11 +63,6 @@ class Backend:
     def residue_char(self):
         return self.p if self.kind in (PADIC, EQUICHARP) else 0
 
-    @property
-    def char(self):
-        """Characteristic of the field itself."""
-        return self.p if self.kind == EQUICHARP else 0
-
     def residue_field(self) -> rs.ResidueField:
         return rs.ResidueField(self.residue_char, self.k)
 
@@ -146,22 +141,30 @@ class Backend:
         return self.from_rational(Fraction(text))
 
 
+# the keys each backend spec takes
+_SPEC_KEYS = {"padic": {"p", "prec"}, "laurentq": {"prec"}, "laurentfp": {"p", "k", "prec"}}
+
+
 def parse_backend(spec: str, precision=None) -> Backend:
-    """Parse a backend spec string like "padic:p=3,prec=40"."""
+    """Parse a backend spec string like "padic:p=3,prec=40".  A key the
+    backend does not take is a ValueError."""
     name, _, rest = spec.partition(":")
+    if name not in _SPEC_KEYS:
+        raise ValueError(f"unknown backend spec {spec!r}")
     opts = {}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             opts[key.strip()] = int(val)
+    extra = set(opts) - _SPEC_KEYS[name]
+    if extra:
+        raise ValueError(f"{name} takes no key {', '.join(sorted(extra))}")
     prec = precision or opts.get("prec", DEFAULT_PRECISION)
     if name == "padic":
         return Backend(PADIC, p=opts["p"], precision=prec)
     if name == "laurentq":
         return Backend(EQUICHAR0, precision=prec)
-    if name == "laurentfp":
-        return Backend(EQUICHARP, p=opts["p"], k=opts.get("k", 1), precision=prec)
-    raise ValueError(f"unknown backend spec {spec!r}")
+    return Backend(EQUICHARP, p=opts["p"], k=opts.get("k", 1), precision=prec)
 
 
 def _vp(q: Fraction, p: int):
@@ -622,18 +625,6 @@ def _qpoly_mul(a, b):
                 if y:
                     out[i + j] += x * y
     return _qpoly_trim(out)
-
-
-# ---------------------------------------------------------------------------
-# module-level operation entry points matching the documented interface
-
-
-def valuation(x: FieldElement):
-    return x.valuation()
-
-
-def uniformizer_pow(b: Backend, q) -> FieldElement:
-    return b.uniformizer_pow(q)
 
 
 class UnsplitRoots:

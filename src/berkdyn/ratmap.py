@@ -11,12 +11,15 @@ the residue pair of (P - b*Q, Q) along the ball, reduced, gives the local
 degree.
 
 Fibers of type-II points are found by a breadth-first digit descent along the
-roots of (num - b*den)*den; the candidate radii at a center z are the t with
-S_t(P_z - b*Q_z) - S_t(Q_z) = u.  A node D(z, r) of the descent is skipped, with
-its whole subtree, when its image provably misses the target zeta(b, u): a
-closed disc without a pole maps onto a closed disc D(b', u'), so it misses
-when u' > u or val(b - b') < u'; a disc with a pole but no zero is tested the
-same way through 1/R against the inverted target.  Sub-discs map into the
+roots of (num - b*den)*den.  Its digit step, `roots.digit_children`, is that
+of the depth-first root descent; the two differ only in order, budget, and in
+what they do with a branch whose digit cannot be lifted, which is skipped
+here.  The candidate radii at a center z are the t with
+S_t(P_z - b*Q_z) - S_t(Q_z) = u.  A node D(z, r) of the descent is skipped,
+with its whole subtree, when its image provably misses the target
+zeta(b, u): a closed disc without a pole maps onto a closed disc D(b', u'),
+so it misses when u' > u or val(b - b') < u'; a disc with a pole but no zero
+is tested the same way through 1/R against the inverted target.  Sub-discs map into the
 image of their disc, so no fiber point is lost, and the points found, their
 order and their multiplicities are those of the full descent.
 
@@ -49,11 +52,10 @@ from . import residue as rs
 from .roots import (
     ball_residue_poly,
     common_residue_field,
-    digit_roots,
+    digit_children,
     leading_term,
     lift_residue,
     roots_with_mult,
-    segment_residue_poly,
 )
 
 _MAX_CENTER_STEPS = 400
@@ -370,40 +372,32 @@ class RationalMap:
             if depth != -INF and depth >= hi:
                 continue
             G = polys.recenter(F, z)
-            ord0 = 0
-            while ord0 < len(G) and G[ord0].is_zero_to_precision() and G[ord0].is_exact:
-                ord0 += 1
-            segs = polys.newton_polygon(G[ord0:] if ord0 else G)
-            for seg in segs:
-                slope = seg[0]
-                if -slope <= depth:
-                    continue
-                try:
-                    res_poly, v = segment_residue_poly(
-                        G[ord0:] if ord0 else G, seg
-                    )
-                    for theta, _mu in digit_roots(bk, res_poly):
-                        digit = lift_residue(bk, theta) * bk.uniformizer_pow(v)
-                        child = z + digit
-                        if child.prec is not None:
-                            # the center needs more digits than the precision
-                            # budget tracks; any deeper fiber point is out of
-                            # reach
-                            if partial:
-                                continue
-                            raise PrecisionExhausted(
-                                "fiber center exhausted the precision budget"
-                            )
-                        if (
-                            seg is segs[0]
-                            and not ord0
-                            and bk.kind == PADIC
-                            and _wild_chain_misses(G, segs, digit, A_z, Q_z, u, bk.p)
-                        ):
-                            continue  # its fiber points are unrepresentable
-                        queue.append((child, v))
-                except ExtensionBound:
+            segs = polys.newton_polygon(G)
+            blocked = None
+            for item in digit_children(G, segs, depth, bk):
+                if isinstance(item, ExtensionBound) or item[0] is blocked:
                     continue  # that branch's fiber points are unrepresentable
+                seg, digit, v, _mu = item
+                try:
+                    child = z + digit
+                except ExtensionBound:
+                    # laurentfp: the digit's and the center's residue fields
+                    # exceed k_max together; skip the segment's other digits
+                    blocked = seg
+                    continue
+                if child.prec is not None:
+                    # the center needs more digits than the precision budget
+                    # tracks; any deeper fiber point is out of reach
+                    if partial:
+                        continue
+                    raise PrecisionExhausted("fiber center exhausted the precision budget")
+                if (
+                    seg is segs[0]
+                    and bk.kind == PADIC
+                    and _wild_chain_misses(G, segs, digit, A_z, Q_z, u, bk.p)
+                ):
+                    continue  # its fiber points are unrepresentable
+                queue.append((child, v))
         return [(pt, found[pt]) for pt in order]
 
     def _disc_misses(self, P_z, Q_z, depth, b, u) -> bool:

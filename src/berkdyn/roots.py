@@ -1,13 +1,16 @@
 """Root finding for polynomials over the valued-field backends.
 
-The workhorse is Newton-polygon digit descent: each polygon segment gives the
-valuation of a batch of roots, the associated residue polynomial gives their
-leading digits, and recursion (with a Newton/Hensel acceleration once a root
-separates) refines them to the requested precision.  A descent that finds
-deg F simple roots proves F squarefree.  Over PADIC and laurentq a degree
-bound on exponent denominators prunes branches that hold no root in the
-tower, so a descent that cannot split F raises ExtensionBound, which is
-final.  Otherwise multiplicities come from the gcd recursion
+The workhorse is Newton-polygon digit descent.  Its step, `digit_children`, is
+shared with ratmap's type-II fiber descent: each polygon segment of
+G = F(z + h) gives the valuation of a batch of roots, and the lifted roots of
+its residue polynomial give their next digits.  The two descents differ only
+in order (depth-first here, breadth-first for fibers), budget, and what they
+do with an unliftable branch: raise ExtensionBound here unless partial, skip
+it for fibers.  A root that separates is refined by Newton/Hensel steps.  A
+descent that finds deg F simple roots proves F squarefree.  Over PADIC and
+laurentq a degree bound on exponent denominators prunes branches that hold no
+root in the tower, so a descent that cannot split F raises ExtensionBound,
+which is final.  Otherwise multiplicities come from the gcd recursion
 F -> gcd(F, F'), which is characteristic-safe."""
 
 from __future__ import annotations
@@ -31,19 +34,9 @@ from . import residue as rs
 _MAX_DESCENT_STEPS = 500
 
 
-def digit_roots(bk: Backend, res_poly):
-    """The residue roots of one digit step, [(theta, multiplicity)] from
-    residue_roots.  Only the levels that lift_residue can lift are split:
-    over PADIC that is F_p alone, and a further level holding roots ends the
-    list as an UnsplitRoots mark."""
-    return residue_roots(
-        res_poly, k_max=bk.k_max, split_k=bk.k if bk.kind == PADIC else bk.k_max
-    )
-
-
 def lift_residue(bk: Backend, theta: rs.ResidueElement) -> FieldElement:
     """Canonical lift of a residue element to a valuation-0 (or 0) element.
-    The UnsplitRoots mark of digit_roots stands for digits it cannot lift."""
+    The UnsplitRoots mark of residue_roots stands for digits it cannot lift."""
     if not isinstance(theta, UnsplitRoots):
         if theta.is_zero():
             return bk.zero()
@@ -159,6 +152,33 @@ def segment_residue_poly(G, seg):
     valuation of its first coefficient."""
     slope, _, i0, i1 = seg
     return ball_residue_poly(G[i0 : i1 + 1], -slope, G[i0].valuation()), -slope
+
+
+def digit_children(G, segs, depth, bk: Backend):
+    """One digit step of the root and fiber descents.  For each segment of
+    `segs`, the Newton polygon of G = F(z + h), of root valuation v > depth,
+    and each root theta of its residue polynomial, yields (seg, digit, v, mu)
+    with digit = lift(theta) * pi^v and mu the multiplicity of theta.  A
+    segment or digit that cannot be lifted yields the caught ExtensionBound
+    instead.  Only residue levels that lift_residue can lift are split: over
+    PADIC that is F_p, and a further level holding roots is an UnsplitRoots."""
+    split_k = bk.k if bk.kind == PADIC else bk.k_max
+    for seg in segs:
+        if -seg[0] <= depth:
+            continue
+        try:
+            res_poly, v = segment_residue_poly(G, seg)
+            branches = residue_roots(res_poly, k_max=bk.k_max, split_k=split_k)
+        except ExtensionBound as e:
+            yield e
+            continue
+        for theta, mu in branches:
+            try:
+                digit = lift_residue(bk, theta) * bk.uniformizer_pow(v)
+            except ExtensionBound as e:
+                yield e
+                continue
+            yield seg, digit, v, mu
 
 
 def _taylor_head(F, z):
@@ -278,36 +298,22 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
     # one more digit: polygon of F(z + h), segments deeper than `depth`
     if G is None:
         G = polys.recenter(F, z)
-    progressed = False
-    skipped = False
-    for seg in polys.newton_polygon(G):
-        slope = seg[0]
-        if -slope <= depth:
-            continue
-        res_poly, v = segment_residue_poly(G, seg)
-        try:
-            branches = digit_roots(bk, res_poly)
-        except ExtensionBound:
-            if partial:
-                skipped = True
+    progressed = skipped = False
+    for child in digit_children(G, polys.newton_polygon(G), depth, bk):
+        if not isinstance(child, ExtensionBound):
+            _, digit, v, mu = child
+            E = lcm(v.denominator, *(e for _, e in z.terms))
+            if e0 is None or E // gcd(E, e0) <= len(F) - 1:
+                stack.append((z + digit, v, mu))
+                progressed = True
                 continue
-            raise
-        E = lcm(v.denominator, *(e for _, e in z.terms))
-        for theta, mu in branches:
-            try:
-                digit = lift_residue(bk, theta) * bk.uniformizer_pow(v)
-                if e0 is not None and E // gcd(E, e0) > len(F) - 1:
-                    raise ExtensionBound(
-                        f"no root in the tower: a digit needs exponent denominator "
-                        f"E={E} > n*gcd(E, e0) with e0={e0}, n={len(F) - 1}"
-                    )
-            except ExtensionBound:
-                if partial:
-                    skipped = True
-                    continue
-                raise
-            stack.append((z + digit, v, mu))
-            progressed = True
+            child = ExtensionBound(
+                f"no root in the tower: a digit needs exponent denominator "
+                f"E={E} > n*gcd(E, e0) with e0={e0}, n={len(F) - 1}"
+            )
+        if not partial:
+            raise child
+        skipped = True
     if not progressed and not skipped:
         raise PrecisionExhausted("no further digits found for a root")
 
@@ -413,10 +419,6 @@ def _newton_refine(F, z, prec):
     raise PrecisionExhausted("Newton refinement did not reach target precision")
 
 
-def _match(r: FieldElement, s: FieldElement) -> bool:
-    return (r - s).is_zero_to_precision()
-
-
 def roots_with_mult(F, prec=None, partial=False):
     """All roots of F in the backend's field with multiplicities.
 
@@ -494,25 +496,17 @@ def _roots_impl(F, prec, partial):
         )
     simple = [(r, 1) for r in squarefree_roots(S, prec, partial)]
     repeated = _roots_impl(g, prec, partial)
-    for r, m in repeated:
-        if r.is_zero_to_precision():
-            continue  # origin handled above
-        placed = False
-        for i, (s, ms) in enumerate(simple):
-            if _match(r, s):
-                simple[i] = (s, ms + m)
-                placed = True
-                break
-        if not placed:
-            simple.append((r, m))
-    return _merge(out + simple)
+    # the origin is handled above
+    return _merge(
+        out + simple + [(r, m) for r, m in repeated if not r.is_zero_to_precision()]
+    )
 
 
 def _merge(pairs):
     merged = []
     for r, m in pairs:
         for i, (s, ms) in enumerate(merged):
-            if _match(r, s):
+            if (r - s).is_zero_to_precision():
                 merged[i] = (s, ms + m)
                 break
         else:

@@ -220,6 +220,14 @@ class TestErrorsAndDeterminism:
         )
         assert code == 2
 
+    def test_backend_key_it_does_not_take_exit_2(self, capsys):
+        # padic has no residue degree k; it is refused, not ignored
+        code = main(
+            ["image", "--backend", "padic:p=3,k=2", "--map", "z", "--point", "can"]
+        )
+        assert code == 2
+        assert "takes no key k" in capsys.readouterr().err
+
     def test_computational_error_exit_3(self, capsys):
         code, out = run(
             capsys,

@@ -363,6 +363,18 @@ class TestBackendSpec:
         bk = parse_backend("laurentfp:p=2,k=1,prec=40")
         assert bk.kind == EQUICHARP and bk.p == 2 and bk.k == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["padic:p=3,k=2", "padic:p=3,pre=10", "laurentq:p=3", "laurentq:k=2", "laurentfp:p=2,q=4"],
+    )
+    def test_rejects_keys_the_backend_does_not_take(self, spec):
+        with pytest.raises(ValueError, match="takes no key"):
+            parse_backend(spec)
+
+    def test_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend spec"):
+            parse_backend("weird:p=3")
+
     def test_literals(self):
         x = B3.parse_literal("3/4")
         assert x.as_rational() == F(3, 4)

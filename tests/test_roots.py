@@ -669,6 +669,35 @@ class TestPadicResidueLevels:
         assert splits == []
 
 
+class TestDigitChildren:
+    """The digit step shared by the root and fiber descents, on
+    G = z(z - 3)(z^2 + 1) over Q_3.  By hand: the exact root 0 gives no
+    child; the root 3 is the digit 3 at valuation 1 with residue
+    multiplicity 1; +-i, at valuation 0, need y^2 + 1, which has no root in
+    F_3, so that segment yields the lift's ExtensionBound."""
+
+    G = [B3.from_int(c) for c in (0, -3, 1, -3, 1)]
+
+    def children(self, depth):
+        return list(rt.digit_children(self.G, polys.newton_polygon(self.G), depth, B3))
+
+    def test_every_segment(self):
+        child, blocked = self.children(-math.inf)
+        _, digit, v, mu = child
+        assert (digit, v, mu) == (B3.from_int(3), 1, 1)
+        assert isinstance(blocked, ExtensionBound)
+        assert "proper extension of the residue field; not liftable" in str(blocked)
+
+    def test_depth_filters_segments(self):
+        assert [c[1:] for c in self.children(F(0))] == [(B3.from_int(3), 1, 1)]
+        assert self.children(F(1)) == []
+
+    def test_segments_are_the_callers(self):
+        segs = polys.newton_polygon(self.G)
+        (seg, *_), _ = rt.digit_children(self.G, segs, -math.inf, B3)
+        assert seg is segs[0]
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=PrecisionExhausted,
