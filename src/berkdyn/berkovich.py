@@ -85,8 +85,8 @@ class BerkPoint:
         if self.variant == INFTY:
             return (INFTY, self.backend)
         if self.variant == TYPE_I:
-            return (TYPE_I, self.value._key())
-        return (TYPE_II, self.value._key(), self.logr)
+            return (TYPE_I, self.value)
+        return (TYPE_II, self.value, self.logr)
 
     def __eq__(self, other):
         if not isinstance(other, BerkPoint):

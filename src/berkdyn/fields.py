@@ -50,11 +50,15 @@ class Backend:
         if kind in (PADIC, EQUICHARP):
             if p is None or p < 2 or not rs._is_prime(p):
                 raise ValueError("backend needs a prime p >= 2")
+        elif p is not None:
+            raise ValueError(f"{kind} backend takes no p")
+        if k < 1 or k != 1 and kind != EQUICHARP:
+            raise ValueError(f"{kind} backend takes no residue degree k = {k}")
         if precision < 1:
             raise ValueError("precision must be >= 1")
         self.kind = kind
         self.p = p
-        self.k = k if kind == EQUICHARP else 1
+        self.k = k
         self.precision = precision
         self.k_max = k_max
 
@@ -466,10 +470,22 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self._key() == other._key()
+        a, b = self, other
+        if a.backend.kind == EQUICHARP and a.backend == b.backend:
+            # coefficients compare by value: F_p's 2 is F_(p^k)'s embedded 2
+            a, b = _align_cfields(a, b, k_max=INF)
+        return a._key() == b._key()
 
     def __hash__(self):
-        return hash(self._key())
+        if self.backend.kind != EQUICHARP:
+            return hash(self._key())
+        # equal elements may hold their coefficients in different fields, but
+        # a coefficient in F_p reads the same in every F_(p^k)
+        terms = tuple(
+            (key, None if any(c.value[1:]) else c.value[0])
+            for key, c in sorted(self.terms.items(), key=lambda kv: kv[0])
+        )
+        return hash((self.backend, terms, self.prec))
 
     def _sorted_terms(self):
         """(exponent, coefficient) pairs by increasing exponent."""
@@ -521,14 +537,15 @@ def _shifted_prec(prec, shift):
     return prec + shift
 
 
-def _align_cfields(a: FieldElement, b: FieldElement):
-    """Embed EQUICHARP coefficients into a common residue field."""
+def _align_cfields(a: FieldElement, b: FieldElement, k_max=None):
+    """Embed EQUICHARP coefficients into a common residue field of degree at
+    most k_max (default: the backend's)."""
     fa = _cfield(a)
     fb = _cfield(b)
     if fa is None or fb is None or fa == fb:
         return a, b
     m = lcm(fa.k, fb.k)
-    if m > a.backend.k_max:
+    if m > (a.backend.k_max if k_max is None else k_max):
         raise ExtensionBound(f"residue extension degree {m} exceeds k_max")
     big = rs.ResidueField(fa.p, m)
     return _embed_series(a, big), _embed_series(b, big)

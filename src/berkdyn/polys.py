@@ -1,6 +1,9 @@
 """Polynomials over a valued-field backend: exact coefficient lists
 (ascending), Taylor recentering, Newton polygons, and the piecewise-linear
-Gauss-norm calculus used by ball images and preimages."""
+Gauss-norm calculus used by ball images and preimages.  One lower-hull
+routine gives both the Newton polygons and the breakpoints of the seminorm
+equation of the fiber search, whose solutions inside a linear piece carry
+the piece's slope."""
 
 from __future__ import annotations
 
@@ -192,7 +195,6 @@ def newton_polygon(coeffs):
     """
     pts = []
     for i, c in enumerate(coeffs):
-        v = c.valuation_lower_bound()
         if c.is_zero_to_precision():
             if c.is_exact:
                 continue
@@ -200,9 +202,17 @@ def newton_polygon(coeffs):
                 f"coefficient {i} is zero to precision {c.prec}; polygon ambiguous"
             )
         pts.append((i, c.valuation()))
-    if len(pts) < 2:
-        return []
-    hull = [pts[0]]
+    hull = _lower_hull(pts)
+    return [
+        (Fraction(y2 - y1, x2 - x1), x2 - x1, x1, x2)
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    ]
+
+
+def _lower_hull(pts):
+    """Vertices of the lower convex hull of the points (i, val), listed by
+    increasing i."""
+    hull = pts[:1]
     for pt in pts[1:]:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -213,11 +223,7 @@ def newton_polygon(coeffs):
             else:
                 break
         hull.append(pt)
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        segments.append((slope, x2 - x1, x1, x2))
-    return segments
+    return hull
 
 
 def gauss_valuation(coeffs, t):
@@ -239,52 +245,58 @@ def gauss_valuation(coeffs, t):
     return best
 
 
-def _min_line_breaks(coeffs, lo, hi):
-    """Breakpoints of t -> min_i(val c_i + i t) on [lo, hi]."""
-    lines = []
-    for i, c in enumerate(coeffs):
-        if c.is_zero_to_precision():
-            continue
-        lines.append((c.valuation(), i))
-    breaks = {Fraction(lo), Fraction(hi)}
-    for a1, m1 in lines:
-        for a2, m2 in lines:
-            if m1 < m2:
-                t = Fraction(a1 - a2, m2 - m1)
-                if lo < t < hi:
-                    breaks.add(t)
-    return sorted(breaks)
-
-
 def solve_seminorm_ratio(num, den, target, lo, hi):
-    """All t in [lo, hi] with gauss_valuation(num,t) - gauss_valuation(den,t)
-    == target.  Piecewise-linear exact solve; interval solutions contribute
-    their endpoints."""
+    """All t in [lo, hi] with psi(t) = gauss_valuation(num, t) -
+    gauss_valuation(den, t) == target, as pairs (t, slope).  Each seminorm
+    is the minimum of v + i*t over the vertices (i, v) of the lower hull of
+    its known coefficients, so psi is linear between its breakpoints: lo, hi
+    and the hull edges' negated slopes in (lo, hi).  Inside a piece each
+    seminorm is attained by one coefficient, and slope is psi'(t); at a
+    breakpoint it is None.  Interval solutions contribute their endpoints.
+    An unknown coefficient is checked at every breakpoint, as
+    gauss_valuation checks it: on a piece the known minimum is linear and
+    the unknown one concave, so one that dominates anywhere in [lo, hi]
+    dominates at a breakpoint."""
     num, den = trim(num), trim(den)
     if not num or not den:
         return []
-    breaks = sorted(set(_min_line_breaks(num, lo, hi)) | set(_min_line_breaks(den, lo, hi)))
+    breaks = {Fraction(lo), Fraction(hi)}
+    sides = []
+    for coeffs in (num, den):
+        known = [(i, c.valuation()) for i, c in enumerate(coeffs) if not c.is_zero_to_precision()]
+        hull = _lower_hull(known)
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            t = Fraction(y1 - y2, x2 - x1)
+            if lo < t < hi:
+                breaks.add(t)
+        unknown = [
+            (i, c.prec) for i, c in enumerate(coeffs) if c.is_zero_to_precision() and not c.is_exact
+        ]
+        sides.append((hull, unknown))
+
+    def seminorm(hull, unknown, t):
+        best = min((v + i * t for i, v in hull), default=INF)
+        if unknown and min(prec + i * t for i, prec in unknown) < best:
+            raise PrecisionExhausted("seminorm dominated by an unknown coefficient")
+        return best
+
+    breaks = sorted(breaks)
+    values = [seminorm(*sides[0], t) - seminorm(*sides[1], t) for t in breaks]
     sols = []
-
-    def psi(t):
-        return gauss_valuation(num, t) - gauss_valuation(den, t)
-
-    for t0, t1 in zip(breaks, breaks[1:]):
-        y0, y1 = psi(t0), psi(t1)
+    for t0, t1, y0, y1 in zip(breaks, breaks[1:], values, values[1:]):
         if y0 == y1:
             if y0 == target:
-                sols.extend([t0, t1])
-            continue
-        # linear on [t0, t1]
-        if min(y0, y1) <= target <= max(y0, y1):
-            t = t0 + (t1 - t0) * Fraction(target - y0, y1 - y0)
-            sols.append(t)
-    if len(breaks) == 1:
-        t0 = breaks[0]
-        if psi(t0) == target:
-            sols.append(t0)
+                sols.extend([(t0, None), (t1, None)])
+        elif min(y0, y1) <= target <= max(y0, y1):
+            # linear on [t0, t1]
+            slope = Fraction(y1 - y0) / (t1 - t0)  # an integer: i - j
+            t = t0 + (target - y0) / slope
+            # (lo > hi leaves one interval [hi, lo] that is not a piece)
+            sols.append((t, int(slope) if t0 < t < t1 and lo <= hi else None))
+    if len(breaks) == 1 and values[0] == target:
+        sols.append((breaks[0], None))
     out = []
-    for t in sorted(sols):
-        if not out or out[-1] != t:
-            out.append(t)
+    for t, slope in sorted(sols, key=lambda sol: sol[0]):
+        if not out or out[-1][0] != t:
+            out.append((t, slope))
     return out

@@ -15,8 +15,13 @@ roots of (num - b*den)*den.  Its digit step, `roots.digit_children`, is that
 of the depth-first root descent; the two differ only in order, budget, and in
 what they do with a branch whose digit cannot be lifted, which is skipped
 here.  The candidate radii at a center z are the t with
-S_t(P_z - b*Q_z) - S_t(Q_z) = u.  A node D(z, r) of the descent is skipped,
-with its whole subtree, when its image provably misses the target
+psi(t) = S_t(P_z - b*Q_z) - S_t(Q_z) = u, solved on the lower hulls of the
+two coefficient-valuation sets.  With exact coefficients a radius strictly
+inside a linear piece of psi is a fiber point of multiplicity |psi'(t)|, with
+no image test: there each seminorm is attained by one coefficient, so R - b
+reduces to c*X^s, s = psi'(t) != 0, and b attains phi = u.  Breakpoint radii
+and inexact data take the image test.  A node D(z, r) of the descent is
+skipped, with its whole subtree, when its image provably misses the target
 zeta(b, u): a closed disc without a pole maps onto a closed disc D(b', u'),
 so it misses when u' > u or val(b - b') < u'; a disc with a pole but no zero
 is tested the same way through 1/R against the inverted target.  Sub-discs map into the
@@ -335,8 +340,10 @@ class RationalMap:
         b, u = T.value, T.logr
         A = polys.sub(self.num, polys.scale(self.den, b))
         F = polys.mul(A if polys.trim(A) else [bk.one()], self.den)
-        found = {}
-        order = []
+        found = {}  # fiber points in the order found
+        # with exact coefficients every A_z, Q_z below is exact: type-II
+        # centres and the queued centres are
+        exact = all(c.is_exact for c in self.num + self.den)
         hi = Fraction(bk.precision)
         lo_cap = -Fraction(bk.precision)
         # breadth-first: fiber components on sibling branches are found (and
@@ -360,13 +367,17 @@ class RationalMap:
             # R(B(z, t)) = zeta(b, u) makes the seminorm of R - b on the ball,
             # S_t(P_z - b*Q_z) - S_t(Q_z), equal to u, poles or not
             A_z = polys.sub(P_z, polys.scale(Q_z, b))
-            for t in polys.solve_seminorm_ratio(A_z, Q_z, u, lo, hi):
+            for t, slope in polys.solve_seminorm_ratio(A_z, Q_z, u, lo, hi):
                 cand = BerkPoint.type_ii(z, t)
                 if cand in found:
                     continue
-                if self.image_point(cand) == T:
+                if exact and slope:
+                    # inside a piece A_z and Q_z reduce to monomials, so R - b
+                    # reduces to c*X^slope: b attains phi = u, and the local
+                    # degree is |slope|
+                    found[cand] = abs(slope)
+                elif self.image_point(cand) == T:
                     found[cand] = self.local_degree(cand)
-                    order.append(cand)
             if sum(found.values()) >= self.degree:
                 break
             if depth != -INF and depth >= hi:
@@ -398,7 +409,7 @@ class RationalMap:
                 ):
                     continue  # its fiber points are unrepresentable
                 queue.append((child, v))
-        return [(pt, found[pt]) for pt in order]
+        return list(found.items())
 
     def _disc_misses(self, P_z, Q_z, depth, b, u) -> bool:
         """Is the target zeta(b, u) provably outside the image of

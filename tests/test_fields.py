@@ -189,6 +189,25 @@ class TestArithmetic:
         with pytest.raises(IncompatibleBackends):
             x + y
 
+    def test_series_compare_by_value_across_coefficient_fields(self):
+        # 2 + g*t in F_9((t)) minus g*t leaves 2 stored in F_9; it is F_3's 2
+        from berkdyn.berkovich import BerkPoint
+
+        g = rs.ResidueField(3, 2).generator()
+        gt = BF3.from_term(1, g)
+        two, wide = BF3.from_int(2), (BF3.from_int(2) + gt) - gt
+        assert fl._cfield(wide).k == 2 and fl._cfield(two).k == 1
+        assert wide == two and hash(wide) == hash(two)
+        assert wide != BF3.one() and gt != BF3.uniformizer_pow(1)
+        assert len({two, wide, BF3.one()}) == 2
+        assert BerkPoint.type_ii(wide, F(2, 3)) == BerkPoint.type_ii(two, F(2, 3))
+        assert BerkPoint.type_i(wide) == BerkPoint.type_i(two)
+        # F_9 and F_27 have no common field within k_max; F_3 is in both
+        g3 = rs.ResidueField(3, 3).generator()
+        g3t = BF3.from_term(1, g3)
+        assert (BF3.from_int(2) + g3t) - g3t == wide
+        assert gt != g3t
+
     @pytest.mark.parametrize("bk", [B2, B3, BQ, BF2, BF3])
     def test_field_axioms_random(self, bk):
         rng = random.Random(17)
@@ -370,6 +389,14 @@ class TestBackendSpec:
     def test_rejects_keys_the_backend_does_not_take(self, spec):
         with pytest.raises(ValueError, match="takes no key"):
             parse_backend(spec)
+
+    @pytest.mark.parametrize(
+        "kind,p,k",
+        [(EQUICHAR0, 3, 1), (EQUICHAR0, None, 2), (PADIC, 3, 2), (EQUICHARP, 3, 0)],
+    )
+    def test_backend_checks_its_own_arguments(self, kind, p, k):
+        with pytest.raises(ValueError):
+            Backend(kind, p=p, k=k)
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend spec"):

@@ -207,7 +207,7 @@ class TestSeminormRatioSolver:
     def test_linear_case(self):
         num = polys.from_rationals(B2, [0, 1])
         den = polys.from_rationals(B2, [1])
-        assert polys.solve_seminorm_ratio(num, den, F(3, 2), 0, 5) == [F(3, 2)]
+        assert polys.solve_seminorm_ratio(num, den, F(3, 2), 0, 5) == [(F(3, 2), 1)]
 
     def test_resubstitution_random(self):
         rng = random.Random(59)
@@ -219,7 +219,7 @@ class TestSeminormRatioSolver:
             lo, hi = F(-3), F(6)
             target = F(rng.randint(-8, 8), rng.randint(1, 2))
             sols = polys.solve_seminorm_ratio(num, den, target, lo, hi)
-            for t in sols:
+            for t, _slope in sols:
                 assert lo <= t <= hi
                 got = polys.gauss_valuation(num, t) - polys.gauss_valuation(den, t)
                 assert got == target
@@ -233,7 +233,7 @@ class TestSeminormRatioSolver:
                 continue
             lo, hi = F(0), F(4)
             target = F(rng.randint(-6, 6))
-            sols = set(polys.solve_seminorm_ratio(num, den, target, lo, hi))
+            sols = {t for t, _slope in polys.solve_seminorm_ratio(num, den, target, lo, hi)}
             # scan a fine grid: every exact hit must be reported
             for k in range(0, 49):
                 t = lo + (hi - lo) * F(k, 48)
@@ -244,3 +244,114 @@ class TestSeminormRatioSolver:
                         s1 <= t <= s2 for s1, s2 in zip(ordered, ordered[1:])
                     )
                     assert t in sols or bracketed
+
+    EPS = F(1, 10**6)  # far below the gaps between the small rationals here
+
+    @staticmethod
+    def psi(num, den, t):
+        return polys.gauss_valuation(num, t) - polys.gauss_valuation(den, t)
+
+    def one_sided_slopes(self, f, t):
+        return (f(t) - f(t - self.EPS)) / self.EPS, (f(t + self.EPS) - f(t)) / self.EPS
+
+    def test_slope_is_psi_prime_inside_a_piece_and_none_at_a_break(self):
+        rng = random.Random(67)
+        lo, hi = F(-3), F(6)
+        seen = {"slope": 0, "none": 0}
+        for _ in range(300):
+            num = random_poly(B3, rng, maxdeg=4)
+            den = random_poly(B3, rng, maxdeg=4)
+            if not num or not den:
+                continue
+            psi = lambda t: self.psi(num, den, t)  # noqa: E731
+            if rng.random() < 0.5:
+                target = F(rng.randint(-8, 8), rng.randint(1, 2))
+            else:  # a value psi takes at an integer, often a breakpoint
+                target = psi(F(rng.randint(-3, 6)))
+            for t, slope in polys.solve_seminorm_ratio(num, den, target, lo, hi):
+                assert psi(t) == target
+                left, right = self.one_sided_slopes(psi, t)
+                if slope is not None:
+                    seen["slope"] += 1
+                    assert left == right == slope != 0
+                    continue
+                seen["none"] += 1
+                # an endpoint, or a kink of one of the two seminorms
+                kinks = [
+                    len(set(self.one_sided_slopes(lambda s: polys.gauss_valuation(P, s), t))) == 2
+                    for P in (num, den)
+                ]
+                assert t in (lo, hi) or any(kinks)
+        assert seen["slope"] > 50 and seen["none"] > 50
+
+    @staticmethod
+    def pairwise_solutions(num, den, target, lo, hi):
+        """The solver before the hull breakpoints: every pairwise
+        intersection of the coefficient lines is a breakpoint."""
+
+        def line_breaks(coeffs):
+            lines = [
+                (c.valuation(), i) for i, c in enumerate(coeffs) if not c.is_zero_to_precision()
+            ]
+            breaks = {F(lo), F(hi)}
+            for a1, m1 in lines:
+                for a2, m2 in lines:
+                    if m1 < m2 and lo < F(a1 - a2, m2 - m1) < hi:
+                        breaks.add(F(a1 - a2, m2 - m1))
+            return breaks
+
+        num, den = polys.trim(num), polys.trim(den)
+        if not num or not den:
+            return []
+        breaks = sorted(line_breaks(num) | line_breaks(den))
+        psi = lambda t: polys.gauss_valuation(num, t) - polys.gauss_valuation(den, t)  # noqa: E731
+        sols = []
+        for t0, t1 in zip(breaks, breaks[1:]):
+            y0, y1 = psi(t0), psi(t1)
+            if y0 == y1:
+                if y0 == target:
+                    sols.extend([t0, t1])
+            elif min(y0, y1) <= target <= max(y0, y1):
+                sols.append(t0 + (t1 - t0) * F(target - y0, y1 - y0))
+        if len(breaks) == 1 and psi(breaks[0]) == target:
+            sols.append(breaks[0])
+        return sorted(set(sols))
+
+    def test_inexact_coefficients_match_the_pairwise_solver(self):
+        # the pairwise grid also lists points inside pieces where psi is the
+        # constant target; the hull solver lists only the breakpoints there
+        rng = random.Random(71)
+        lo, hi = F(-3), F(6)
+
+        def inexact_poly():
+            out = []
+            for c in random_poly(B3, rng, maxdeg=4):
+                kind = rng.random()
+                if kind < 0.1:
+                    c = big_o(B3, rng.randint(-2, 6))
+                elif kind < 0.3:
+                    c = c + big_o(B3, rng.randint(-2, 6))
+                out.append(c)
+            return out
+
+        outcomes = {"raised": 0, "solved": 0}
+        for _ in range(300):
+            num, den = inexact_poly(), inexact_poly()
+            target = F(rng.randint(-8, 8), rng.randint(1, 2))
+            try:
+                old = self.pairwise_solutions(num, den, target, lo, hi)
+            except PrecisionExhausted as exc:
+                with pytest.raises(PrecisionExhausted, match=str(exc)):
+                    polys.solve_seminorm_ratio(num, den, target, lo, hi)
+                outcomes["raised"] += 1
+                continue
+            new = polys.solve_seminorm_ratio(num, den, target, lo, hi)
+            psi = lambda t: self.psi(num, den, t)  # noqa: E731
+            inside_flat = {
+                t for t in old if lo < t < hi and psi(t - self.EPS) == target == psi(t + self.EPS)
+            }
+            ts = [t for t, _ in new]
+            assert ts == sorted(ts) and set(ts) <= set(old)
+            assert set(old) - set(ts) <= inside_flat
+            outcomes["solved"] += bool(new)
+        assert outcomes["raised"] > 30 and outcomes["solved"] > 30

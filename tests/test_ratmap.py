@@ -48,6 +48,11 @@ BF2 = Backend(EQUICHARP, p=2)
 BF3 = Backend(EQUICHARP, p=3)
 
 
+def centre_field_degree(S):
+    """The degree of the largest residue field among S's centre coefficients."""
+    return max((c.field.k for c in S.value.terms.values()), default=1)
+
+
 def random_map(bk, rng, maxdeg=3, integer=False):
     """A random rational map of degree >= 1 with rational coefficients."""
     while True:
@@ -348,6 +353,70 @@ class TestPreimages:
                 assert R.image_point(S) == T
                 assert m == R.local_degree(S)
             done += 1
+
+    @pytest.mark.parametrize(
+        "num,den,c,u",
+        [
+            ([-8, 4, 3, 2], [-7, -8, -9], 2, F(2, 3)),
+            ([-2, 9, 0, -2], [3, -3, -1], 2, F(1, 2)),
+            ([-1], [5, 3, 4], 2, 1),
+            ([3, -7, 8, -8], [-1], 2, 2),
+        ],
+    )
+    def test_laurentfp_fibers_through_extension_fields(self, num, den, c, u):
+        # image centres computed in F_(3^k) must equal the target's centre in
+        # F_3; each fiber point is checked without FieldElement equality:
+        # fresh maps give its image radius, centre distance and local degree
+        T = BerkPoint.type_ii(BF3.from_int(c), u)
+        fiber = RationalMap.from_rationals(BF3, num, den).preimages(T)
+        assert sum(m for _, m in fiber) == RationalMap.from_rationals(BF3, num, den).degree
+        assert any(centre_field_degree(S) > 1 for S, _ in fiber)
+        for S, m in fiber:
+            image = RationalMap.from_rationals(BF3, num, den).image_point(S)
+            assert image.logr == u and (image.value - T.value).valuation() >= u
+            assert RationalMap.from_rationals(BF3, num, den).local_degree(S) == m
+        for (S1, _), (S2, _) in zip(fiber, fiber[1:]):
+            assert S1.logr != S2.logr or (S1.value - S2.value).valuation() < S1.logr
+
+
+class TestGenericRadii:
+    """A fiber radius inside a linear piece of psi(t) = S_t(A_z) - S_t(Q_z)
+    is a fiber point of multiplicity |psi'(t)| with no image descent."""
+
+    R0 = "(z^5-243)/z^2"
+
+    @staticmethod
+    def count_reductions(monkeypatch):
+        calls = []
+        reduction = RationalMap._reduction
+        monkeypatch.setattr(
+            RationalMap, "_reduction", lambda R, a, v: calls.append(v) or reduction(R, a, v)
+        )
+        return calls
+
+    @pytest.mark.parametrize("u", [F(-3), F(0), F(1), F(2), F(5, 2)])
+    def test_power_map_fiber_closed_form(self, monkeypatch, u):
+        # psi(t) = min(5, 5t) - 2t is 3t below t = 1 and 5 - 2t above it, so
+        # for u < 3 the fiber of zeta(0, u) is zeta(0, u/3) x3, zeta(0, (5-u)/2) x2
+        calls = self.count_reductions(monkeypatch)
+        fiber = RationalMap.parse(self.R0, B3).preimages(BerkPoint.type_ii(B3.zero(), u))
+        assert fiber == [
+            (BerkPoint.type_ii(B3.zero(), u / 3), 3),
+            (BerkPoint.type_ii(B3.zero(), (5 - u) / 2), 2),
+        ]
+        assert calls == []
+
+    @pytest.mark.parametrize("u", [F(-3), F(0), F(5, 2)])
+    def test_inexact_map_keeps_the_image_test(self, monkeypatch, u):
+        exact = RationalMap.parse(self.R0, B3)
+        num = list(exact.num)
+        num[0] = num[0] + FieldElement(B3, {}, F(30))  # -243 + O(3^30)
+        inexact = RationalMap(num, exact.den, simplify=False)
+        T = BerkPoint.type_ii(B3.zero(), u)
+        fiber = exact.preimages(T)
+        calls = self.count_reductions(monkeypatch)
+        assert inexact.preimages(T) == fiber
+        assert len(calls) == 2  # one image test per fiber point
 
 
 class TestReduction:
@@ -884,11 +953,12 @@ class TestWildChains:
 
     @pytest.mark.parametrize(
         "bk,num,den,c,u,nodes",
-        [(B2, [F(-3, 8)], [0, 0, F(-3, 8), 1], 14, 4, 9), (B2, [-3, 0, 1], [1], 0, 2, 2)],
+        [(B2, [F(-3, 8)], [0, 0, F(-3, 8), 1], 14, 4, 8), (B2, [-3, 0, 1], [1], 0, 2, 2)],
     )
     def test_wild_chains_stop_early(self, monkeypatch, bk, num, den, c, u, nodes):
-        # descent nodes, counted by recentrings of (num, den); a wild chain
-        # followed to the precision budget takes 47 and 41 of them
+        # descent nodes, counted as the distinct centres (num, den) is
+        # recentred at; a wild chain followed to the precision budget takes
+        # 47 and 41 recentrings
         calls = []
         recentered = RationalMap._recentered
         monkeypatch.setattr(
@@ -897,4 +967,4 @@ class TestWildChains:
         R = RationalMap.from_rationals(bk, num, den)
         with pytest.raises(ExtensionBound):
             R.preimages(BerkPoint.type_ii(bk.from_int(c), u))
-        assert len(calls) == nodes
+        assert len(set(calls)) == nodes

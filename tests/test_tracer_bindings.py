@@ -1,9 +1,12 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps library functions by
 module and attribute name.  These tests import it read-only and check that
 every name it binds exists in berkdyn, so renaming or deleting a traced
-function fails here and not only in a traced benchmark run."""
+function fails here and not only in a traced benchmark run.  The benchmark's
+self-test runs here too: a library change that leaves a layer some workload
+exercises without calls fails the suite."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +49,12 @@ def test_install_wraps_and_uninstall_restores(tracer):
     finally:
         t.uninstall()
     assert roots.segment_residue_poly is orig
+
+
+def test_benchmark_self_test_passes():
+    # every workload at a tiny size, with its oracle and its exercises check
+    run = subprocess.run(
+        [sys.executable, str(Path(PERFBENCH) / "run.py"), "--self-test"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
