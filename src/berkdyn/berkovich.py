@@ -20,11 +20,12 @@ INFTY = "inf"
 
 
 class BerkPoint:
-    __slots__ = ("variant", "backend", "value", "logr")
+    __slots__ = ("variant", "backend", "value", "logr", "_hash")
 
     def __init__(self, variant, backend, value=None, logr=None):
         self.variant = variant
         self.backend = backend
+        self._hash = None  # points are immutable: hashed once, on demand
         if variant == TYPE_II:
             logr = Fraction(logr)
             value = value.truncate_below(logr)
@@ -94,7 +95,9 @@ class BerkPoint:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         if self.variant == INFTY:

@@ -200,11 +200,12 @@ class FieldElement:
     valuation >= prec.
     """
 
-    __slots__ = ("backend", "terms", "prec", "_val")
+    __slots__ = ("backend", "terms", "prec", "_val", "_hash")
 
     def __init__(self, backend, terms, prec):
         self.backend = backend
         self._val = None
+        self._hash = None  # elements are immutable: hashed once, on demand
         norm = {}
         for key, c in terms.items():
             if not c:
@@ -477,15 +478,19 @@ class FieldElement:
         return a._key() == b._key()
 
     def __hash__(self):
-        if self.backend.kind != EQUICHARP:
-            return hash(self._key())
-        # equal elements may hold their coefficients in different fields, but
-        # a coefficient in F_p reads the same in every F_(p^k)
-        terms = tuple(
-            (key, None if any(c.value[1:]) else c.value[0])
-            for key, c in sorted(self.terms.items(), key=lambda kv: kv[0])
-        )
-        return hash((self.backend, terms, self.prec))
+        if self._hash is None:
+            if self.backend.kind != EQUICHARP:
+                self._hash = hash(self._key())
+            else:
+                # equal elements may hold their coefficients in different
+                # fields, but a coefficient in F_p reads the same in every
+                # F_(p^k)
+                terms = tuple(
+                    (key, None if any(c.value[1:]) else c.value[0])
+                    for key, c in sorted(self.terms.items(), key=lambda kv: kv[0])
+                )
+                self._hash = hash((self.backend, terms, self.prec))
+        return self._hash
 
     def _sorted_terms(self):
         """(exponent, coefficient) pairs by increasing exponent."""

@@ -10,23 +10,25 @@ when a is a pole (R(a) attains the maximum when the ball holds no pole), and
 the residue pair of (P - b*Q, Q) along the ball, reduced, gives the local
 degree.
 
-Fibers of type-II points are found by a breadth-first digit descent along the
-roots of (num - b*den)*den.  Its digit step, `roots.digit_children`, is that
-of the depth-first root descent; the two differ only in order, budget, and in
-what they do with a branch whose digit cannot be lifted, which is skipped
-here.  The candidate radii at a center z are the t with
-psi(t) = S_t(P_z - b*Q_z) - S_t(Q_z) = u, solved on the lower hulls of the
-two coefficient-valuation sets.  With exact coefficients a radius strictly
+Fibers of type-II points zeta(b, u) are found by a breadth-first digit
+descent on R - b.  Each node z works on one recentred pair (A_z, Q_z), with
+A_z = P_z - b*Q_z (P_z itself when b is exactly 0), and follows the roots of
+G = A_z*Q_z, which is (num - b*den)*den recentred at z.  Its digit step,
+`roots.digit_children`, is that of the depth-first root descent; the two
+differ only in order, budget, and in what they do with a branch whose digit
+cannot be lifted, which is skipped here.  The candidate radii at z are the t
+with psi(t) = S_t(A_z) - S_t(Q_z) = u, solved on the lower hulls of the two
+coefficient-valuation sets.  With exact coefficients a radius strictly
 inside a linear piece of psi is a fiber point of multiplicity |psi'(t)|, with
 no image test: there each seminorm is attained by one coefficient, so R - b
 reduces to c*X^s, s = psi'(t) != 0, and b attains phi = u.  Breakpoint radii
 and inexact data take the image test.  A node D(z, r) of the descent is
-skipped, with its whole subtree, when its image provably misses the target
-zeta(b, u): a closed disc without a pole maps onto a closed disc D(b', u'),
-so it misses when u' > u or val(b - b') < u'; a disc with a pole but no zero
-is tested the same way through 1/R against the inverted target.  Sub-discs map into the
-image of their disc, so no fiber point is lost, and the points found, their
-order and their multiplicities are those of the full descent.
+skipped, with its whole subtree, when its image under R - b provably misses
+zeta(0, u): a closed disc without a pole maps onto a closed disc D(c, u'), so
+it misses when u' > u or val c < u'; a disc with a pole but no root of A_z is
+tested the same way through 1/(R - b), against zeta(0, -u).  Sub-discs map
+into the image of their disc, so no fiber point is lost, and the points
+found, their order and their multiplicities are those of the full descent.
 
 Over Q_p a fiber ball around roots outside the tower Q_p(p^(1/E)) would be
 chased by a wild chain: single children from width-p segments whose residue
@@ -338,8 +340,6 @@ class RationalMap:
     def _preimages_type2(self, T: BerkPoint, partial):
         bk = self.backend
         b, u = T.value, T.logr
-        A = polys.sub(self.num, polys.scale(self.den, b))
-        F = polys.mul(A if polys.trim(A) else [bk.one()], self.den)
         found = {}  # fiber points in the order found
         # with exact coefficients every A_z, Q_z below is exact: type-II
         # centres and the queued centres are
@@ -357,16 +357,20 @@ class RationalMap:
             if steps > _MAX_CENTER_STEPS:
                 raise PrecisionExhausted("fiber descent exceeded its budget")
             P_z, Q_z = self._recentered(z)
+            A_z = P_z if polys.is_exact_zero(b) else polys.sub(P_z, polys.scale(Q_z, b))
             if depth != -INF:
                 try:
-                    if self._disc_misses(P_z, Q_z, depth, b, u):
+                    if self._disc_misses(A_z, Q_z, depth, u):
                         continue
                 except PrecisionExhausted:
                     pass  # undecided: search the disc
+            # (num - b*den)*den recentred at z, formed before the break as F
+            # was: perfbench's equilibrium-chain, whose fibers end at their
+            # first node, traces polys.mul as one of the layers it exercises
+            G = polys.mul(polys.trim(A_z) or [bk.one()], Q_z)
             lo = depth if depth != -INF else lo_cap
             # R(B(z, t)) = zeta(b, u) makes the seminorm of R - b on the ball,
-            # S_t(P_z - b*Q_z) - S_t(Q_z), equal to u, poles or not
-            A_z = polys.sub(P_z, polys.scale(Q_z, b))
+            # S_t(A_z) - S_t(Q_z), equal to u, poles or not
             for t, slope in polys.solve_seminorm_ratio(A_z, Q_z, u, lo, hi):
                 cand = BerkPoint.type_ii(z, t)
                 if cand in found:
@@ -382,7 +386,6 @@ class RationalMap:
                 break
             if depth != -INF and depth >= hi:
                 continue
-            G = polys.recenter(F, z)
             segs = polys.newton_polygon(G)
             blocked = None
             for item in digit_children(G, segs, depth, bk):
@@ -411,34 +414,30 @@ class RationalMap:
                 queue.append((child, v))
         return list(found.items())
 
-    def _disc_misses(self, P_z, Q_z, depth, b, u) -> bool:
-        """Is the target zeta(b, u) provably outside the image of
-        the closed Berkovich disc D(z, depth)?  A disc without a pole maps
-        onto the closed disc D(R(z), u') with u' = S(N) - 2 val q0; a disc
-        with a pole but no zero maps onto the inverse of such a disc under
-        1/R, which is tested against the inverted target.  N = q0*P_z - p0*Q_z
-        is R - R(z) with denominators cleared.  Raises PrecisionExhausted when
-        the data cannot decide."""
+    def _disc_misses(self, A_z, Q_z, depth, u) -> bool:
+        """Is zeta(0, u) provably outside the image of the closed Berkovich
+        disc D(z, depth) under R - b = A_z/Q_z, that is, the target zeta(b, u)
+        outside its image under R?  N = q0*A_z - a0*Q_z is R - b - (R(z) - b)
+        with denominators cleared; it equals q0*P_z - p0*Q_z, so the image
+        radius does not depend on b.  A disc without a pole maps onto the
+        closed disc D(a0/q0, u') with u' = S(N) - 2 val q0; a disc with a pole
+        but no root of A_z is mapped by 1/(R - b) = Q_z/A_z onto
+        D(q0/a0, S(N) - 2 val a0), which is tested against 1/zeta(0, u) =
+        zeta(0, -u).  Raises PrecisionExhausted when the data cannot decide."""
         bk = self.backend
-        p0 = P_z[0] if P_z else bk.zero()
+        a0 = A_z[0] if A_z else bk.zero()
         q0 = Q_z[0]
-        N = polys.sub(polys.scale(P_z, q0), polys.scale(Q_z, p0))
+        N = polys.sub(polys.scale(A_z, q0), polys.scale(Q_z, a0))
         g = polys.gauss_valuation([bk.zero()] + N[1:], depth)
         if not self._ball_contains_pole(Q_z, depth):
-            # D(b', u') with b' = p0/q0: val(b - b') = val(b q0 - p0) - val q0
             vq = q0.valuation()
             img = g - 2 * vq
-            return img > u or (b * q0 - p0).valuation() - vq < img
-        if not P_z or self._ball_contains_pole(P_z, depth):
-            return False  # a pole and a zero: the image is the whole line
-        # 1/R maps the disc onto D(c', u'') with c' = q0/p0, u'' = S(N) - 2 val p0;
-        # 1/zeta(b, u) is zeta(0, -u) if val b >= u, else zeta(1/b, u - 2 val b)
-        vb, vp = b.valuation(), p0.valuation()
-        img = g - 2 * vp
-        if vb >= u:
-            return img > -u or q0.valuation() - vp < img
-        # val(1/b - q0/p0) = val(p0 - b q0) - val b - val p0
-        return img > u - 2 * vb or (b * q0 - p0).valuation() - vb - vp < img
+            return img > u or a0.valuation() - vq < img
+        if not A_z or self._ball_contains_pole(A_z, depth):
+            return False  # a pole and a root of A_z: the image joins 0 to infinity
+        va = a0.valuation()
+        img = g - 2 * va
+        return img > -u or q0.valuation() - va < img
 
     # -- reduction ------------------------------------------------------
 
@@ -541,8 +540,8 @@ def _proportionality(res_a, res_q):
 
 def _wild_chain_misses(G, segs, a, A_z, Q_z, u, p) -> bool:
     """Can the fiber descent over Q_p skip the child z + a pushed from the
-    first segment of G = F(z + h), because every fiber point below it needs a
-    center outside the tower Q_p(p^(1/E))?  False unless proven.
+    first segment of G = A_z*Q_z = F(z + h), because every fiber point below
+    it needs a center outside the tower Q_p(p^(1/E))?  False unless proven.
 
     Hypotheses.  G is exact, its Newton polygon `segs` starts with [0, p] of
     slope -v, and a = lift(theta) * p^v is that segment's digit.  Write

@@ -209,6 +209,45 @@ class TestArithmetic:
         assert gt != g3t
 
     @pytest.mark.parametrize("bk", [B2, B3, BQ, BF2, BF3])
+    def test_cached_hash_is_the_hash_of_a_fresh_equal_element(self, bk):
+        # the first hash is kept; it must equal the hash that an equal
+        # element built afresh (or by other arithmetic) computes
+        from berkdyn.berkovich import BerkPoint
+
+        rng = random.Random(23)
+        for _ in range(50):
+            x, y = random_element(bk, rng), random_element(bk, rng)
+            h = hash(x)
+            assert hash(x) == h
+            fresh = fl.FieldElement(bk, dict(x.terms), x.prec)
+            other = (x + y) - y
+            assert fresh == x == other
+            assert hash(fresh) == h == hash(other)
+            inexact = fl.FieldElement(bk, dict(x.terms), F(9))
+            assert hash(inexact) == hash(fl.FieldElement(bk, dict(inexact.terms), F(9)))
+            S = BerkPoint.type_ii(x, F(rng.randint(-2, 4)))
+            hS = hash(S)
+            assert hash(S) == hS == hash(BerkPoint.type_ii(fresh, S.logr))
+            assert hash(BerkPoint.type_i(x)) == hash(BerkPoint.type_i(other))
+
+    def test_cached_hash_across_coefficient_fields(self):
+        # laurentfp: F_3's 2 and F_9's embedded 2 are equal; whichever is
+        # hashed first, a cached hash matches the other's fresh hash
+        from berkdyn.berkovich import BerkPoint
+
+        g = rs.ResidueField(3, 2).generator()
+        gt = BF3.from_term(1, g)
+        wide = (BF3.from_int(2) + gt) - gt
+        h = hash(wide)
+        assert hash(wide) == h == hash(BF3.from_int(2))
+        two = BF3.from_int(2)
+        h = hash(two)
+        assert hash(two) == h == hash((BF3.from_int(2) + gt) - gt)
+        S = BerkPoint.type_ii(wide, F(2, 3))
+        hS = hash(S)
+        assert hash(S) == hS == hash(BerkPoint.type_ii(BF3.from_int(2), F(2, 3)))
+
+    @pytest.mark.parametrize("bk", [B2, B3, BQ, BF2, BF3])
     def test_field_axioms_random(self, bk):
         rng = random.Random(17)
         for _ in range(100):

@@ -5,14 +5,24 @@ with fractional and negative exponents.  Each command runs in-process through
 `berkdyn.cli.main`; its stdout must equal the file of the same name in
 `tests/golden/`.  The `seconds` column of `examples run-all` is wall time,
 so it is masked on both sides.
+
+One more file pins the outcome of 200 type-II fibers over padic:p=3
+(`fiber_outcomes`): points, multiplicities and their order, or the typed
+error and its message.  Re-record it with `python tests/test_golden.py`
+only when an outcome is meant to change.
 """
 
+import random
 import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from berkdyn import Backend, BerkdynError, PADIC
+from berkdyn.berkovich import BerkPoint
 from berkdyn.cli import main
+from berkdyn.ratmap import RationalMap
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,3 +142,45 @@ def test_readme_command_matches_golden(capsys, name, monkeypatch):
     code, out = run_command(capsys, name)
     assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+FIBER_GOLDEN = GOLDEN / "fibers-criterion06-padic3.out"
+
+
+def fiber_outcomes():
+    """One line per fiber: the first 100 maps of criterion 06's seed-6001
+    stream over padic:p=3, each as drawn and conjugated by z -> -z (which
+    negates the target's centre)."""
+    bk = Backend(PADIC, p=3)
+    rng = random.Random(6001)
+    lines = []
+    drawn = 0
+    while drawn < 100:
+        num = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+        den = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+        if not any(num) or not any(den):
+            continue
+        if RationalMap.from_rationals(bk, num, den).degree < 1:
+            continue
+        drawn += 1
+        c, logr = rng.randint(-6, 6), F(rng.randint(-2, 4))
+        neg_num = [-x if i % 2 == 0 else x for i, x in enumerate(num)]
+        neg_den = [x if i % 2 == 0 else -x for i, x in enumerate(den)]
+        for n, d, b in [(num, den, c), (neg_num, neg_den, -c)]:
+            R = RationalMap.from_rationals(bk, n, d)
+            head = f"{[str(x) for x in n]}/{[str(x) for x in d]} @ zeta({b}, {logr}): "
+            try:
+                fiber = R.preimages(BerkPoint.type_ii(bk.from_int(b), logr))
+            except BerkdynError as exc:
+                lines.append(head + f"{type(exc).__name__}: {exc}")
+                continue
+            lines.append(head + "; ".join(f"{S!r} x{m}" for S, m in fiber))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_fiber_outcomes_match_golden():
+    assert fiber_outcomes() == FIBER_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    FIBER_GOLDEN.write_text(fiber_outcomes())

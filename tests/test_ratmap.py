@@ -32,6 +32,7 @@ from berkdyn import (
     INF,
     PADIC,
     ParamDomain,
+    PrecisionExhausted,
 )
 from berkdyn import polys
 from berkdyn import ratmap
@@ -378,6 +379,19 @@ class TestPreimages:
         for (S1, _), (S2, _) in zip(fiber, fiber[1:]):
             assert S1.logr != S2.logr or (S1.value - S2.value).valuation() < S1.logr
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PrecisionExhausted,
+        reason="known defect: the Artin-Schreier roots of z^p - z = 1/t need "
+        "unbounded exponent denominators, and the descent ends in 'polygon "
+        "ambiguous' instead of a proved ExtensionBound (ROADMAP item 5)",
+    )
+    @pytest.mark.parametrize("bk,text", [(BF2, "z^2+z"), (BF3, "z^3-z")], ids=["p2", "p3"])
+    def test_artin_schreier_fiber_is_extension_bound(self, bk, text):
+        R = RationalMap.parse(text, bk)
+        with pytest.raises(ExtensionBound):
+            R.preimages(BerkPoint.type_i(bk.uniformizer_pow(-1)))
+
 
 class TestGenericRadii:
     """A fiber radius inside a linear piece of psi(t) = S_t(A_z) - S_t(Q_z)
@@ -554,7 +568,30 @@ def sub_ball(S, rng):
 
 def disc_misses(R, S, T):
     P_a, Q_a = R._recentered(S.value)
-    return R._disc_misses(P_a, Q_a, S.logr, T.value, T.logr)
+    A_a = polys.sub(P_a, polys.scale(Q_a, T.value))
+    return R._disc_misses(A_a, Q_a, S.logr, T.logr)
+
+
+def reference_disc_misses(P_z, Q_z, depth, b, u):
+    """The earlier pruning rule, kept as a reference: a disc with a pole but
+    no zero of R is tested through 1/R, with a case split on val b."""
+    bk = Q_z[0].backend
+    p0 = P_z[0] if P_z else bk.zero()
+    q0 = Q_z[0]
+    N = polys.sub(polys.scale(P_z, q0), polys.scale(Q_z, p0))
+    g = polys.gauss_valuation([bk.zero()] + N[1:], depth)
+    has_pole = RationalMap._ball_contains_pole
+    if not has_pole(Q_z, depth):
+        vq = q0.valuation()
+        img = g - 2 * vq
+        return img > u or (b * q0 - p0).valuation() - vq < img
+    if not P_z or has_pole(P_z, depth):
+        return False
+    vb, vp = b.valuation(), p0.valuation()
+    img = g - 2 * vp
+    if vb >= u:
+        return img > -u or q0.valuation() - vp < img
+    return img > u - 2 * vb or (b * q0 - p0).valuation() - vb - vp < img
 
 
 class TestFiberPruning:
@@ -594,6 +631,72 @@ class TestFiberPruning:
             for T in targets:
                 assert disc_misses(R, S, T) == (not order_leq(to_chart(T), image))
             checked[kind] += 1
+
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_rule_on_r_minus_b_prunes_at_least_the_reference(self, bk):
+        # M = R + b has its b-points at the zeros of R, so which of them a
+        # disc holds is known by construction, and M - b = R.  Every disc the
+        # reference rule prunes is pruned; every pruned disc misses the
+        # target: a disc without a pole maps onto the disc below M(S), one
+        # with a pole but no b-point is mapped by 1/(M - b) = 1/R onto the
+        # disc below (1/R)(S), which must miss 1/zeta(0, u) = zeta(0, -u)
+        rng = random.Random(601)
+        pruned = {"pole-free": 0, "pole-only": 0, "reference": 0}
+        for _ in range(120):
+            R, zeros, poles = factored_map(bk, rng, rng.randint(1, 2), rng.randint(1, 2))
+            S = BerkPoint.type_ii(
+                bk.from_rational(F(rng.randint(-9, 9), rng.choice([1, 2]))),
+                F(rng.randint(-2, 3), rng.choice([1, 2])),
+            )
+            for _ in range(4):
+                b = bk.from_int(rng.randint(-9, 9))
+                u = F(rng.randint(-3, 5), rng.choice([1, 2]))
+                M = RationalMap(polys.add(R.num, polys.scale(R.den, b)), R.den)
+                T = BerkPoint.type_ii(b, u)
+                P_z, Q_z = M._recentered(S.value)
+                new = disc_misses(M, S, T)
+                if reference_disc_misses(P_z, Q_z, S.logr, b, u):
+                    pruned["reference"] += 1
+                    assert new
+                if not new:
+                    continue
+                if not holds(S, poles):
+                    pruned["pole-free"] += 1
+                    assert not order_leq(T, M.image_point(S))
+                else:
+                    pruned["pole-only"] += 1
+                    assert not holds(S, zeros)
+                    inverted = BerkPoint.type_ii(bk.zero(), -u)
+                    assert not order_leq(inverted, R.target_inverted().image_point(S))
+        assert min(pruned.values()) >= 20, pruned
+
+    @pytest.mark.parametrize("bk", [B2, B3])
+    def test_pruned_fibers_equal_unpruned_fibers(self, bk, monkeypatch):
+        # criterion 06's maps: pruning changes no point, multiplicity, order
+        # or error message of the fiber search
+        rng = random.Random(6001)
+
+        def outcome(R, T):
+            try:
+                return R.preimages(T)
+            except ExtensionBound as exc:
+                return str(exc)
+
+        cases = []
+        while len(cases) < 12:
+            num = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            den = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            if not any(num) or not any(den):
+                continue
+            if RationalMap.from_rationals(bk, num, den).degree < 1:
+                continue
+            T = BerkPoint.type_ii(bk.from_int(rng.randint(-6, 6)), F(rng.randint(-2, 4)))
+            cases.append((num, den, T))
+        pruned = [outcome(RationalMap.from_rationals(bk, n, d), T) for n, d, T in cases]
+        monkeypatch.setattr(RationalMap, "_disc_misses", lambda *args: False)
+        full = [outcome(RationalMap.from_rationals(bk, n, d), T) for n, d, T in cases]
+        assert pruned == full
+        assert sum(isinstance(o, list) for o in full) >= 6
 
     @staticmethod
     def moebius_cases(bk, polar):
