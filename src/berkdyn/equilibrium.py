@@ -247,7 +247,7 @@ def theorem_e_detect(R, n_max=8, margin=Fraction(1, 8)):
 def _totally_invariant(R, S: BerkPoint) -> bool:
     try:
         fiber = R.preimages(S)
-    except (ExtensionBound, PrecisionExhausted):
+    except ExtensionBound:
         return False
     return len(fiber) == 1 and fiber[0][0] == S and fiber[0][1] == R.degree
 

@@ -16,13 +16,22 @@ polynomial to that case by distinct-degree factorization over its own field,
 and splits only the levels whose roots its caller can lift: the digits of
 Q_p lie in F_p, so there the first further level holding roots is reported
 without building its field.
+
+Products in an extension field F_Q, Q = p^k <= TABLE_LIMIT, are lookups in
+discrete-log tables built on the field's first product: the powers of a
+primitive element as coordinate tuples, and the log of each element at its
+elements() position.  Inverses, powers and p-th roots are lookups too.  The
+largest builds under the limit take about 50 ms on a 2-core Xeon (F_(2^13),
+F_(5^6), F_(11^4); F_(7^4) takes 8 ms), where F_(13^4) would take 90 ms and
+F_(2^14) 130 ms; larger fields keep schoolbook products.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DivisionByZero
 
@@ -45,6 +54,14 @@ class ResidueField:
 
     def __hash__(self):
         return hash(("ResidueField", self.p, self.k))
+
+    @cached_property
+    def _tables(self):
+        """The discrete-log tables of an extension field of at most
+        TABLE_LIMIT elements, else None."""
+        if self.k > 1 and self.p**self.k <= TABLE_LIMIT:
+            return _log_tables(self.p, self.k)
+        return None
 
     def __repr__(self):
         if self.is_rational:
@@ -166,16 +183,14 @@ class ResidueElement:
             return ResidueElement(f, self.value * other.value)
         if f.k == 1:
             return ResidueElement(f, (self.value[0] * other.value[0] % f.p,))
-        prod = [0] * (2 * f.k - 1)
-        for i, a in enumerate(self.value):
-            if a:
-                for j, b in enumerate(other.value):
-                    prod[i + j] += a * b
-        for row, c in zip(f._x_powers, prod[f.k :]):
-            if c:
-                for i, r in enumerate(row):
-                    prod[i] += c * r
-        return ResidueElement(f, tuple(c % f.p for c in prod[: f.k]))
+        if f._tables is None:
+            return ResidueElement(f, _schoolbook(self.value, other.value, f))
+        powers, logs = f._tables
+        i, j = _index(self.value, f.p), _index(other.value, f.p)
+        if i and j:
+            # log x + log y < 2(Q - 1): a negative index wraps once
+            return ResidueElement(f, powers[logs[i] + logs[j] - len(powers)])
+        return f.zero()
 
     def inverse(self):
         f = self.field
@@ -185,24 +200,27 @@ class ResidueElement:
             return ResidueElement(f, 1 / self.value)
         if f.k == 1:
             return ResidueElement(f, (pow(self.value[0], -1, f.p),))
-        # extended Euclid in F_p[x] against the modulus
-        a = list(self.value)
-        b = list(f.modulus)
-        s0, s1 = [0], [1]
-        while any(c != 0 for c in a):
-            q, r = _polydivmod_fp(b, a, f.p)
-            b, a = a, r
-            s0, s1 = s1, _polysub_fp(s0, _polymul_fp(q, s1, f.p), f.p)
-        # b is now gcd (a constant), s0 its cofactor: s0 * self == b (mod modulus)
-        c = pow(b[0], -1, f.p)
-        inv = [(x * c) % f.p for x in s0]
-        inv = _reduce_mod(inv, f.modulus, f.p, f.k)
-        return ResidueElement(f, inv)
+        if f._tables is not None:
+            return self ** -1
+        # extended Euclid in F_p[x] against the modulus, keeping s_i * self = r_i
+        # modulo it
+        fp = ResidueField(f.p)
+        r0, r1 = [fp.from_int(c) for c in f.modulus], rpoly_trim(map(fp.from_int, self.value))
+        s0, s1 = [], [fp.one()]
+        while len(r1) > 1:
+            q, r = rpoly_divmod(r0, r1, fp)
+            r0, r1, s0, s1 = r1, r, s1, rpoly_sub(s0, rpoly_mul(q, s1, fp), fp)
+        c = r1[0].inverse()
+        return ResidueElement(f, tuple((x * c).value[0] for x in s1) + (0,) * (f.k - len(s1)))
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __pow__(self, n: int):
+        f = self.field
+        if f._tables is not None and self:
+            powers, logs = f._tables
+            return ResidueElement(f, powers[logs[_index(self.value, f.p)] * n % len(powers)])
         if n < 0:
             return self.inverse() ** (-n)
         result = self.field.one()
@@ -222,54 +240,63 @@ class ResidueElement:
         return self ** (f.p ** (f.k - 1))
 
 
-# ---------------------------------------------------------------------------
-# F_p[x] helpers on plain integer coefficient lists (ascending order)
-
-
-def _polytrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polysub_fp(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % p
-    return _polytrim(out)
-
-
-def _polymul_fp(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _schoolbook(a, b, f):
+    """The product of two coordinate tuples of f: F_p[x] product, then the
+    high powers of x reduced by the modulus."""
+    prod = [0] * (2 * f.k - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _polytrim(out)
+                prod[i + j] += x * y
+    for row, c in zip(f._x_powers, prod[f.k :]):
+        if c:
+            for i, r in enumerate(row):
+                prod[i] += c * r
+    return tuple(c % f.p for c in prod[: f.k])
 
 
-def _polydivmod_fp(a, b, p):
-    a = _polytrim(list(a))
-    b = _polytrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        c = (r[-1] * inv_lead) % p
-        d = len(r) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            r[i + d] = (r[i + d] - c * y) % p
-        _polytrim(r)
-    return _polytrim(q), r
+def _index(value, p):
+    """Position sum(c_i p^i) of a coordinate tuple in elements() order."""
+    n = 0
+    for c in reversed(value):
+        n = n * p + c
+    return n
+
+
+# Extension fields of at most this many elements multiply through discrete-log
+# tables (module docstring); F_(11^4) has 14,641.
+TABLE_LIMIT = 16000
+
+
+@lru_cache(maxsize=None)
+def _log_tables(p, k):
+    """(powers, logs) for GF(p, k), from its first primitive element g in
+    elements() order: powers[n] = g^n for 0 <= n < Q - 1, as coordinate
+    tuples, and logs[_index(x)] the discrete log of each nonzero x."""
+    field = ResidueField(p, k)
+    order = p**k - 1
+    one = field.one().value
+    primes = [ell for ell in range(2, order + 1) if order % ell == 0 and _is_prime(ell)]
+
+    def power(x, n):
+        out = one
+        for bit in bin(n)[2:]:
+            out = _schoolbook(out, out, field)
+            if bit == "1":
+                out = _schoolbook(out, x, field)
+        return out
+
+    g = next(
+        x.value for x in field.elements()
+        if any(x.value) and all(power(x.value, order // ell) != one for ell in primes)
+    )
+    powers = [one]
+    for _ in range(order - 1):
+        powers.append(_schoolbook(g, powers[-1], field))
+    logs = array("i", [0]) * (order + 1)
+    for n, x in enumerate(powers):
+        logs[_index(x, p)] = n
+    return powers, logs
 
 
 @lru_cache(maxsize=None)
@@ -283,12 +310,6 @@ def _high_powers(modulus, p):
         top = row[-1]
         row = [(a + top * b) % p for a, b in zip([0] + row[:-1], rows[0])]
     return rows
-
-
-def _reduce_mod(coeffs, modulus, p, k):
-    _, r = _polydivmod_fp(coeffs, list(modulus), p)
-    r = list(r) + [0] * (k - len(r))
-    return tuple(r[:k])
 
 
 def _is_irreducible(f, p):
@@ -423,14 +444,15 @@ def rpoly_powmod(base, n, mod, field):
 # Finding the roots of a degree-d polynomial by evaluating it at every element
 # of F_Q costs about Q*d products; splitting it costs about d^2*log(Q)
 # products per random trial, down one branch per Frobenius orbit.  Fields
-# with at most this many elements per degree are enumerated.  Timed against
-# the orbit split on products of irreducibles of degree 1 to 4 (d = 2 to 8,
-# fields of 37 to 529 elements; medians of 5 interleaved runs on a 2-core
-# Xeon), enumeration was faster below 20 to 40 elements per degree, and
-# d = 2 took the split down to 18: e.g. F_121, d = 4: 4.2 against 7.8 ms;
-# F_169, d = 4: 4.3 against 3.2 ms; F_289, d = 8: 11.6 against 12.1 ms.  On
-# distinct linear factors over F_131, d = 4, residue_roots takes 2.4 ms
-# enumerating and 2.3 ms splitting.
+# with at most this many elements per degree are enumerated.  Timed in
+# residue_roots on products of distinct irreducibles (split time over
+# enumeration time, medians of 7 interleaved runs on 3 polynomials each, on a
+# 2-core Xeon): prime fields, whose products the tables leave alone, cross
+# over at 26 to 33 elements per degree (F_131, d = 5: 1.18; F_61, d = 2:
+# 0.77); extension fields, with table products, at 16 to 20 (F_121, d = 8:
+# 1.05; F_343, d = 18: 0.93), so up to 32 they enumerate at a loss of up to
+# a quarter (F_121, d = 4: 0.75).  A lower bound would cost the prime fields
+# as much.
 ENUMERATE_PER_DEGREE = 32
 
 
@@ -505,6 +527,8 @@ def embed_element(x: ResidueElement, big: ResidueField) -> ResidueElement:
         return x
     if small.is_rational or big.is_rational:
         raise ValueError("no embedding between QQ and finite fields")
+    if small.k == 1:
+        return big.from_int(x.value[0])
     if big.k % small.k != 0:
         raise ValueError("no embedding: degree does not divide")
     beta = _embedding_image(small.p, small.k, big.k)

@@ -265,9 +265,10 @@ def squarefree_roots(F, prec, partial=False):
 def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
     """Process one node of the digit-descent tree: record an exact or
     precise-enough root, or push one more digit of every branch."""
-    # the first two coefficients of G = F(z + h) decide; G is recentred in
-    # full only for _isolates_root and for the next digit
-    c0, c1 = _taylor_head(F, z)
+    # the first two coefficients of G = F(z + h) decide; c1 is formed only
+    # where it is read, and G is recentred in full only for _isolates_root
+    # and for the next digit
+    c0, quot = polys._synth_div(F, z)
     G = None
     if c0.is_zero_to_precision() and not c0.is_exact:
         G = polys.recenter(F, z)
@@ -276,7 +277,7 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
         if c0.is_exact:
             roots.append(z)
         else:
-            roots.append(_finalize(F, z, min(prec, c0.prec - c1.valuation())))
+            roots.append(_finalize(F, z, min(prec, c0.prec - G[1].valuation())))
             G = [bk.zero()] + G[1:]  # the other roots: as if z were exact
         if mult == 1:
             return
@@ -290,9 +291,9 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
             raise PrecisionExhausted(
                 "distinct roots closer together than the requested precision"
             )
-        if mult == 1 and not c1.is_zero_to_precision():
-            v1 = c1.valuation_lower_bound()
-            if c0.valuation() > 2 * v1:
+        if mult == 1:
+            c1 = polys._synth_div(quot, z)[0]
+            if not c1.is_zero_to_precision() and c0.valuation() > 2 * c1.valuation_lower_bound():
                 roots.append(_newton_refine(F, z, prec))
                 return
     # one more digit: polygon of F(z + h), segments deeper than `depth`

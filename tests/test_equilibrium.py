@@ -29,6 +29,7 @@ from berkdyn.equilibrium import (
     periodic_solution_measure,
     theorem_e_detect,
 )
+from berkdyn.fields import FieldElement
 from berkdyn.measures import AtomicMeasure, pushforward
 from berkdyn.ratmap import RationalMap
 
@@ -238,6 +239,20 @@ class TestDetect:
     def test_inconclusive_budget(self):
         with pytest.raises(Inconclusive):
             theorem_e_detect(R0(), n_max=1)
+
+    def test_fiber_precision_error_is_not_a_no(self):
+        # (z^2 - 9)/3, good reduction at zeta(0, 1), with its constant known
+        # only to O(3^6): the chain from the Gauss point contracts to
+        # zeta(0, 1), whose fiber search enters the discs around the
+        # approximate roots +-3 and runs out of precision there.  That is an
+        # error, not evidence that the point is not invariant.
+        c = B3.from_int(-9) + FieldElement(B3, {}, F(6))
+        R = RationalMap([c, B3.zero(), B3.one()], [B3.from_int(3)])
+        assert theorem_e_detect(RationalMap.from_rationals(B3, [-9, 0, 1], [3])) is True
+        with pytest.raises(PrecisionExhausted):
+            R.preimages(BerkPoint.type_ii(B3.zero(), F(1)))
+        with pytest.raises(PrecisionExhausted):
+            theorem_e_detect(R)
 
 
 class TestPeriodicSolutions:

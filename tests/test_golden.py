@@ -8,8 +8,10 @@ so it is masked on both sides.
 
 One more file pins the outcome of 200 type-II fibers over padic:p=3
 (`fiber_outcomes`): points, multiplicities and their order, or the typed
-error and its message.  Re-record it with `python tests/test_golden.py`
-only when an outcome is meant to change.
+error and its message.  Another pins the roots of 40 split products over
+laurentfp (`root_outcomes`), in the order the residue-field split finds
+them.  Re-record both with `python tests/test_golden.py` only when an
+outcome is meant to change.
 """
 
 import random
@@ -18,11 +20,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import sympy
 
-from berkdyn import Backend, BerkdynError, PADIC
+from berkdyn import Backend, BerkdynError, EQUICHARP, PADIC, polys
 from berkdyn.berkovich import BerkPoint
 from berkdyn.cli import main
 from berkdyn.ratmap import RationalMap
+from berkdyn.roots import roots_with_mult
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,5 +186,50 @@ def test_fiber_outcomes_match_golden():
     assert fiber_outcomes() == FIBER_GOLDEN.read_text()
 
 
+ROOT_GOLDEN = GOLDEN / "roots-split-laurentfp.out"
+# (p, degrees of the two irreducible factors): root-descent's split families
+# and one over F_13, every root in F_(p^4)
+ROOT_FAMILIES = [(7, (2, 4)), (7, (4, 4)), (11, (1, 3)), (11, (4, 4)), (13, (4, 4))]
+
+
+def _irreducible(rng, p, d):
+    x = sympy.Symbol("x")
+    while True:
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        if f[0] and sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible:
+            return f
+
+
+def root_outcomes():
+    """One line per `roots_with_mult` call: four products of two t-scaled
+    irreducibles over F_p per family and pair of root valuations, drawn from
+    seed 1701."""
+    rng = random.Random(1701)
+    lines = []
+    for p, degs in ROOT_FAMILIES:
+        bk = Backend(EQUICHARP, p=p)
+        for slopes in [(-1, 1), (0, 2)]:
+            for _ in range(4):
+                factors = [_irreducible(rng, p, d) for d in degs]
+                P = [bk.one()]
+                for f, s in zip(factors, slopes):
+                    d = len(f) - 1
+                    P = polys.mul(P, [bk.from_int(c) * bk.uniformizer_pow(s * (d - i))
+                                      for i, c in enumerate(f)])
+                head = f"F_{p}: {factors} slopes {slopes}: "
+                try:
+                    found = roots_with_mult(P)
+                except BerkdynError as exc:
+                    lines.append(head + f"{type(exc).__name__}: {exc}")
+                    continue
+                lines.append(head + "; ".join(f"{r!r} x{m}" for r, m in found))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_root_outcomes_match_golden():
+    assert root_outcomes() == ROOT_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     FIBER_GOLDEN.write_text(fiber_outcomes())
+    ROOT_GOLDEN.write_text(root_outcomes())

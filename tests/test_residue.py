@@ -127,22 +127,49 @@ def poly_mul(a, b, p, k):
 # -- tests ---------------------------------------------------------------------
 
 
-FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (11, 2), (101, 3)]
+FIELDS = [
+    (2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (11, 2), (7, 4),
+    (11, 4), (101, 3),
+]
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_products_match_schoolbook(p, k):
+    """Products, inverses, powers and p-th roots against gf_mul, on both
+    product paths: discrete-log tables for extension fields of at most
+    TABLE_LIMIT elements, schoolbook products beyond (here F_(101^3))."""
     rng = random.Random(p * 10 + k)
     field = rs.ResidueField(p, k)
-    assert sympy.Poly(list(reversed(field.modulus)), sympy.Symbol("x"), modulus=p).is_irreducible
+    mod, Q, one = field.modulus, p**k, (1,) + (0,) * (k - 1)
+    assert sympy.Poly(list(reversed(mod)), sympy.Symbol("x"), modulus=p).is_irreducible
+    tabled = k > 1 and Q <= rs.TABLE_LIMIT
+    assert (field._tables is not None) == tabled
+    if (p, k) == (101, 3):
+        assert not tabled  # the schoolbook path stays under test
+    if tabled:
+        powers, logs = field._tables
+        nonzero = [x for x in gf_elements(p, k) if any(x)]
+        assert sorted(powers) == sorted(nonzero)  # every one exactly once
+        assert [powers[logs[n]] for n, x in enumerate(gf_elements(p, k)) if any(x)] == nonzero
     for _ in range(200):
         a = tuple(rng.randrange(p) for _ in range(k))
         b = tuple(rng.randrange(p) for _ in range(k))
         x, y = rs.ResidueElement(field, a), rs.ResidueElement(field, b)
-        assert (x * y).value == gf_mul(a, b, field.modulus, p)
+        assert (x * y).value == gf_mul(a, b, mod, p)
         assert (x + y).value == tuple((s + t) % p for s, t in zip(a, b))
         assert (x - y).value == tuple((s - t) % p for s, t in zip(a, b))
         assert x.is_zero() == (not any(a))
+        assert gf_pow(x.pth_root().value, p, mod, p) == a
+        for n in (rng.randrange(Q), rng.randrange(Q, 3 * Q)):
+            assert (x**n).value == gf_pow(a, n, mod, p)
+        if not any(a):
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        inv = x.inverse().value
+        assert gf_mul(a, inv, mod, p) == one
+        n = rng.randrange(1, 3 * Q)
+        assert (x**-n).value == gf_pow(inv, n, mod, p)
 
 
 @pytest.mark.parametrize("p,k,m", [(2, 2, 4), (2, 4, 8), (3, 2, 4), (5, 2, 4), (7, 2, 4)])
