@@ -8,11 +8,14 @@ non-archimedean field with value group Q, one per backend kind:
 * EQUICHARP   — Puiseux polynomials over F_{p^k} in pi = t.
 
 All three share one term layout: an element is a finite sum of terms
-c * pi^(i/e), stored as a dict {(i, e): c} keyed by reduced integer pairs
-with e >= 1.  Coefficients are Fractions (PADIC, EQUICHAR0) or residue
-elements (EQUICHARP).  Arithmetic is exact; inexact elements (Newton-lifted
-roots, truncated inverses) carry a precision order.  valuation() of the zero
-element is +inf (math.inf mixes fine with Fraction in comparisons).
+c * pi^(i/e), keyed by reduced integer pairs (i, e) with e >= 1.  PADIC
+stores its coefficients as Python ints over one positive denominator per
+element, so its products and sums build no Fractions; EQUICHAR0 stores
+Fractions and EQUICHARP residue elements.  Every element reads as the dict
+`terms` {(i, e): c} with c a Fraction (PADIC, EQUICHAR0) or a residue element
+(EQUICHARP).  Arithmetic is exact; inexact elements (Newton-lifted roots,
+truncated inverses) carry a precision order.  valuation() of the zero element
+is +inf (math.inf mixes fine with Fraction in comparisons).
 """
 
 from __future__ import annotations
@@ -176,14 +179,15 @@ def _vp(q: Fraction, p: int):
     n = q.numerator
     if not n:
         return INF
+    return _vpi(n, p) - _vpi(q.denominator, p)
+
+
+def _vpi(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    while n % p == 0:
+    while not n % p:
         n //= p
         v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
@@ -198,11 +202,24 @@ class FieldElement:
 
     prec: None for exact elements, else the element is only known modulo
     valuation >= prec.
+
+    Layout.  PADIC stores its coefficients as Python ints over one
+    denominator: `_c` is {(i, e): n} and `_den` is D, the coefficient of
+    (i, e) being n/D, with D > 0 and gcd(D, every n) = 1, so that equal
+    elements have equal layouts.  `terms` is then a view of Fractions, built
+    on first read and kept, and arithmetic builds its results through
+    `_int_element`, without the conversion that __init__ makes from
+    Fraction-valued terms.  EQUICHAR0 (Fractions) and EQUICHARP (residue
+    elements) store the coefficients themselves: `_c` is `terms`, and `_den`
+    is None.
     """
 
-    __slots__ = ("backend", "terms", "prec", "_val", "_hash")
+    __slots__ = ("backend", "_c", "_den", "_terms", "prec", "_val", "_hash")
 
     def __init__(self, backend, terms, prec):
+        if backend.kind == PADIC:
+            _int_element(backend, *_int_terms(terms), prec, self)
+            return
         self.backend = backend
         self._val = None
         self._hash = None  # elements are immutable: hashed once, on demand
@@ -218,16 +235,31 @@ class FieldElement:
             norm[key] = c if prev is None else prev + c
         norm = {k: c for k, c in norm.items() if c}
         if prec is not None:
-            norm = {k: v for k, v in norm.items() if _term_val(backend, k, v) < prec}
+            norm = {k: v for k, v in norm.items() if Fraction(*k) < prec}
         # cap the number of tracked terms at the backend precision
         if len(norm) > backend.precision:
-            items = sorted(norm.items(), key=lambda kv: _term_val(backend, kv[0], kv[1]))
-            cutoff = _term_val(backend, *items[backend.precision])
+            items = sorted(norm.items(), key=lambda kv: Fraction(*kv[0]))
+            cutoff = Fraction(*items[backend.precision][0])
             norm = dict(items[: backend.precision])
             prec = cutoff if prec is None else min(prec, cutoff)
-            norm = {k: v for k, v in norm.items() if _term_val(backend, k, v) < prec}
-        self.terms = norm
+            norm = {k: v for k, v in norm.items() if Fraction(*k) < prec}
+        self._c = self._terms = norm
+        self._den = None
         self.prec = prec
+
+    @property
+    def terms(self):
+        terms = self._terms
+        if terms is None:  # the int layout's view, built on first read
+            den = self._den
+            terms = self._terms = {k: Fraction(n, den) for k, n in self._c.items()}
+        return terms
+
+    def _with_prec(self, prec):
+        """The same terms known only to `prec` (None: exact)."""
+        if self._den is None:
+            return FieldElement(self.backend, self._c, prec)
+        return _int_element(self.backend, self._c, self._den, prec)
 
     # -- predicates ----------------------------------------------------
 
@@ -237,7 +269,7 @@ class FieldElement:
 
     def is_zero(self):
         """Exactly zero (raises if only zero to working precision)."""
-        if self.terms:
+        if self._c:
             return False
         if self.prec is not None:
             raise PrecisionExhausted(
@@ -246,25 +278,27 @@ class FieldElement:
         return True
 
     def is_zero_to_precision(self):
-        return not self.terms
+        return not self._c
 
     def valuation(self):
         if self._val is None:
-            if not self.terms:
+            if not self._c:
                 if self.prec is not None:
                     raise PrecisionExhausted(
                         f"valuation unknown: zero to precision {self.prec}"
                     )
                 self._val = INF
+            elif self._den is not None:
+                w, (i, e) = _int_lead(self.backend.p, self._c)
+                w -= _vpi(self._den, self.backend.p)
+                self._val = Fraction(w * e + i, e)
             else:
-                self._val = min(
-                    _term_val(self.backend, k, v) for k, v in self.terms.items()
-                )
+                self._val = min(Fraction(i, e) for i, e in self._c)
         return self._val
 
     def valuation_lower_bound(self):
         """min(valuation, prec) without raising — safe for bookkeeping."""
-        if not self.terms:
+        if not self._c:
             return self.prec if self.prec is not None else INF
         return self.valuation()
 
@@ -278,73 +312,120 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        a, b = self, other
-        if self.backend.kind == EQUICHARP:
-            a, b = _align_cfields(a, b)
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
-            prev = terms.get(k)
-            terms[k] = c if prev is None else prev + c
-        return FieldElement(self.backend, terms, _min_prec(self.prec, other.prec))
+        prec = _min_prec(self.prec, other.prec)
+        den = self._den
+        if den is None:
+            a, b = self, other
+            if self.backend.kind == EQUICHARP:
+                a, b = _align_cfields(a, b)
+            terms = dict(a._c)
+            for k, c in b._c.items():
+                prev = terms.get(k)
+                terms[k] = c if prev is None else prev + c
+            return FieldElement(self.backend, terms, prec)
+        # int layout: numerators over the lcm of the two denominators
+        db = other._den
+        if den == db:
+            c, fb = dict(self._c), 1
+        else:
+            g = gcd(den, db)
+            fa, fb = db // g, den // g
+            c = {k: n * fa for k, n in self._c.items()}
+            den *= fa
+        for k, n in other._c.items():
+            n = n * fb + c.get(k, 0)
+            if n:
+                c[k] = n
+            else:
+                del c[k]
+        return _int_element(self.backend, c, den, prec)
 
     def __neg__(self):
-        return FieldElement(
-            self.backend, {k: -v for k, v in self.terms.items()}, self.prec
-        )
+        if self._den is None:
+            return FieldElement(
+                self.backend, {k: -v for k, v in self._c.items()}, self.prec
+            )
+        x = _int_element(self.backend, {k: -n for k, n in self._c.items()}, 1, None)
+        # the layout of self up to sign: canonical, below prec, capped
+        x._den, x.prec, x._val = self._den, self.prec, self._val
+        return x
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        pa = _shifted_prec(self.prec, other.valuation_lower_bound())
-        pb = _shifted_prec(other.prec, self.valuation_lower_bound())
-        prec = _min_prec(pa, pb)
         bk = self.backend
-        a, b = self, other
-        if bk.kind == EQUICHARP:
-            a, b = _align_cfields(a, b)
-        p = bk.p if bk.kind == PADIC else None
-        terms = {}
-        for (i1, e1), c1 in a.terms.items():
-            for (i2, e2), c2 in b.terms.items():
-                e = lcm(e1, e2)
-                i = i1 * (e // e1) + i2 * (e // e2)
-                c = c1 * c2
-                if p and i >= e:  # PADIC keeps 0 <= i < e: carry one p into c
-                    c = c * p
+        if self._den is None:
+            pa = _shifted_prec(self.prec, other.valuation_lower_bound())
+            pb = _shifted_prec(other.prec, self.valuation_lower_bound())
+            a, b = self, other
+            if bk.kind == EQUICHARP:
+                a, b = _align_cfields(a, b)
+            terms = {}
+            for (i1, e1), c1 in a._c.items():
+                for (i2, e2), c2 in b._c.items():
+                    e = lcm(e1, e2)
+                    key = (i1 * (e // e1) + i2 * (e // e2), e)
+                    prev = terms.get(key)
+                    terms[key] = c1 * c2 if prev is None else prev + c1 * c2
+            return FieldElement(bk, terms, _min_prec(pa, pb))
+        # int layout; the operands' valuations are read only for an
+        # inexact factor
+        prec = None
+        if self.prec is not None:
+            prec = _shifted_prec(self.prec, other.valuation_lower_bound())
+        if other.prec is not None:
+            prec = _min_prec(prec, _shifted_prec(other.prec, self.valuation_lower_bound()))
+        p = bk.p
+        c = {}
+        for (i1, e1), n1 in self._c.items():
+            for (i2, e2), n2 in other._c.items():
+                n = n1 * n2
+                if e1 == e2:
+                    e, i = e1, i1 + i2
+                else:
+                    e = lcm(e1, e2)
+                    i = i1 * (e // e1) + i2 * (e // e2)
+                if i >= e:  # keep 0 <= i < e: carry one p into the numerator
+                    n *= p
                     i -= e
-                key = (i, e)
-                prev = terms.get(key)
-                terms[key] = c if prev is None else prev + c
-        return FieldElement(bk, terms, prec)
+                if i:
+                    g = gcd(i, e)
+                    key = (i // g, e // g)
+                else:
+                    key = (0, 1)
+                n += c.get(key, 0)
+                if n:
+                    c[key] = n
+                else:
+                    del c[key]
+        return _int_element(bk, c, self._den * other._den, prec)
 
     def inverse(self):
-        if not self.terms:
+        if not self._c:
             if self.prec is not None:
                 raise PrecisionExhausted("cannot invert an element that is zero to precision")
             raise DivisionByZero("inverse of zero")
         v = self.valuation()
         bk = self.backend
         rel = None if self.prec is None else self.prec - v  # relative precision
-        if bk.kind == PADIC:
-            if len(self.terms) == 1:
+        if self._den is not None:
+            c = self._c
+            if len(c) == 1:
                 # single term r * p^(i/e): exact monomial inverse
-                ((i, e), r) = next(iter(self.terms.items()))
-                out = bk.from_rational(1 / r) * bk.uniformizer_pow(Fraction(-i, e))
-                return FieldElement(bk, out.terms, None if rel is None else -v + rel)
-            e = 1
-            for (_, ee) in self.terms:
-                e = lcm(e, ee)
-            if rel is None and e <= 8 and len(self.terms) <= 16:
-                return FieldElement(bk, _padic_inverse(bk, self.terms), None)
-            # Newton iteration: exact Euclid in Q[x]/(x^e - p) blows up for
-            # large e, so invert the unit part of big elements iteratively,
-            # truncating to the precision budget at each step
+                ((i, e), n) = next(iter(c.items()))
+                out = bk.from_rational(Fraction(self._den, n)) * bk.uniformizer_pow(Fraction(-i, e))
+                return out if rel is None else out._with_prec(-v + rel)
+            e = lcm(*(ee for _, ee in c))
+            if rel is None and e <= 8 and len(c) <= 16:
+                return _int_element(bk, *_padic_inverse(bk.p, c, self._den, e), None)
+            # Newton iteration: the exact inverse blows up for large e, so
+            # invert the unit part of big elements iteratively, truncating to
+            # the precision budget at each step
             budget = rel if rel is not None else Fraction(bk.precision)
-            lead_key = min(self.terms, key=lambda k: _term_val(bk, k, self.terms[k]))
-            li, le = lead_key
-            lead_inv = bk.from_rational(1 / self.terms[lead_key]) * bk.uniformizer_pow(
+            li, le = _int_lead(bk.p, c)[1]
+            lead_inv = bk.from_rational(Fraction(self._den, c[li, le])) * bk.uniformizer_pow(
                 Fraction(-li, le)
             )
             a = self * lead_inv  # 1 + u with val(u) > 0
@@ -354,12 +435,11 @@ class FieldElement:
                 x = x + x - x * x * a
                 # the term cap may have cut x below the budget
                 budget = _min_prec(budget, x.prec)
-                x = FieldElement(bk, x.terms, None).truncate_below(budget)
+                x = x._with_prec(None).truncate_below(budget)
                 err *= 2
-            out = x * lead_inv
-            return FieldElement(bk, out.terms, -v + budget)
+            return (x * lead_inv)._with_prec(-v + budget)
         # series: c*t^v * (1 + u) with val(u) > 0; the lead term is keyed by v
-        lead_c = self.terms[v.numerator, v.denominator]
+        lead_c = self._c[v.numerator, v.denominator]
         lead = bk.from_term(-v, 1 / lead_c if bk.kind == EQUICHAR0 else lead_c.inverse())
         u = self * lead - bk.one()  # val(u) > 0
         budget = rel if rel is not None else Fraction(bk.precision)
@@ -367,20 +447,17 @@ class FieldElement:
         power = bk.one()
         uval = u.valuation_lower_bound()
         if uval == INF:
-            out = lead
-            if rel is not None:
-                out = FieldElement(bk, out.terms, -v + rel)
-            return out
+            return lead if rel is None else lead._with_prec(-v + rel)
         nsteps = int(budget / uval) + 1
         minus_u = -u
         for _ in range(nsteps):
             # terms of power at or above the budget (val(u) > 0) can never
             # reach a term of acc below it
             power = power * minus_u
-            power = FieldElement(bk, power.terms, _min_prec(power.prec, budget))
+            power = power._with_prec(_min_prec(power.prec, budget))
             acc = acc + power
         out = acc * lead
-        return FieldElement(bk, out.terms, _min_prec(out.prec, -v + budget))
+        return out._with_prec(_min_prec(out.prec, -v + budget))
 
     def __truediv__(self, other):
         self._check(other)
@@ -406,16 +483,39 @@ class FieldElement:
         Terms off the key (0, 1) have positive valuation and reduce to zero;
         an EQUICHARP coefficient may lie in an extension of the residue field
         and is returned as it is."""
-        if self.terms and self.valuation() < 0:
+        if self._c and self.valuation() < 0:
             raise NegativeValuation(f"valuation {self.valuation()} < 0")
         if self.prec is not None and self.prec <= 0:
             raise PrecisionExhausted("residue not determined at this precision")
-        c = self.terms.get((0, 1))
+        c = self._c.get((0, 1))
         if c is None:
             return self.backend.residue_field().zero()
         if isinstance(c, rs.ResidueElement):
             return c
+        if self._den is not None:
+            c = Fraction(c, self._den)
         return self.backend.residue_field().from_fraction(c)
+
+    def leading_residue(self) -> rs.ResidueElement:
+        """The residue of self * pi^(-val self), read off the leading term."""
+        v = self.valuation()
+        if self.prec is not None and self.prec <= v:
+            raise PrecisionExhausted("residue not determined at this precision")
+        bk = self.backend
+        if self._den is not None:
+            # the leading numerator over den, both without their powers of p
+            p, den = bk.p, self._den
+            n = self._c[_int_lead(p, self._c)[1]]
+            unit = n // p ** _vpi(n, p) * pow(den // p ** _vpi(den, p), -1, p)
+            return bk.residue_field().from_int(unit)
+        lead = self._c[v.numerator, v.denominator]
+        if not isinstance(lead, rs.ResidueElement):
+            return bk.residue_field().from_fraction(lead)
+        if lead.field.k % bk.k:
+            # the product with pi^(-val self) embeds the coefficient in the
+            # field it generates with F_(p^k)
+            return (self * bk.uniformizer_pow(-v)).reduce()
+        return lead
 
     def truncate_below(self, v) -> "FieldElement":
         """The canonical truncation: the part of the expansion with valuation < v.
@@ -429,31 +529,31 @@ class FieldElement:
             raise PrecisionExhausted(
                 f"cannot truncate below {v}: element only known to precision {self.prec}"
             )
-        if bk.kind != PADIC:
-            n, d = v.numerator, v.denominator
-            terms = {(i, e): c for (i, e), c in self.terms.items() if i * d < n * e}
+        vn, vd = v.numerator, v.denominator
+        if self._den is None:
+            terms = {(i, e): c for (i, e), c in self._c.items() if i * vd < vn * e}
             return FieldElement(bk, terms, None)
-        p, vn, vd = bk.p, v.numerator, v.denominator
-        terms = {}
-        for (i, e), r in self.terms.items():
-            # keep the p-adic digits of r strictly below v - i/e: there are
-            # m = ceil(v - i/e) - v_p(r) of them (computed in integers)
-            a = _vp(r, p)
-            m = -((i * vd - vn * e) // (vd * e)) - a
+        p, den = bk.p, self._den
+        a_den = _vpi(den, p)
+        unit_den = den // p ** a_den
+        kept = []
+        for (i, e), n in self._c.items():
+            # keep the p-adic digits of n/den strictly below v - i/e: there
+            # are m = ceil(v - i/e) - v_p(n/den) of them
+            a = _vpi(n, p)
+            m = -((i * vd - vn * e) // (vd * e)) - a + a_den
             if m <= 0:
                 continue
-            # r = p^a * n/d with n, d coprime to p; the kept digits of n/d
-            # form an integer w < p^m
-            n, d = r.numerator, r.denominator
-            if a >= 0:
-                n //= p ** a
-            else:
-                d //= p ** -a
+            # n/den = p^(a - a_den) * unit; the kept digits of the unit form
+            # an integer w < p^m, prime to p
             mod = p ** m
-            w = n * pow(d, -1, mod) % mod
-            if w:
-                terms[(i, e)] = Fraction(w * p ** a) if a >= 0 else Fraction(w, p ** -a)
-        return FieldElement(bk, terms, None)
+            w = n // p ** a * pow(unit_den, -1, mod) % mod
+            kept.append(((i, e), w, a - a_den))
+        # w * p^a over the common denominator p^shift; a term with a = -shift
+        # has w prime to p, so the layout is canonical
+        shift = max([0] + [-a for _, _, a in kept])
+        c = {key: w * p ** (a + shift) for key, w, a in kept}
+        return _int_element(bk, c, p ** shift, None)
 
     def as_rational(self) -> Fraction:
         """The element as a rational, when it is one (PADIC/EQUICHAR0)."""
@@ -472,6 +572,10 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         a, b = self, other
+        if a._den is not None and b._den is not None:
+            # canonical layouts: equal values have equal numerators
+            return (a._den == b._den and a._c == b._c and a.prec == b.prec
+                    and a.backend == b.backend)
         if a.backend.kind == EQUICHARP and a.backend == b.backend:
             # coefficients compare by value: F_p's 2 is F_(p^k)'s embedded 2
             a, b = _align_cfields(a, b, k_max=INF)
@@ -479,7 +583,11 @@ class FieldElement:
 
     def __hash__(self):
         if self._hash is None:
-            if self.backend.kind != EQUICHARP:
+            if self._den is not None:
+                self._hash = hash(
+                    (self.backend, self._den, tuple(sorted(self._c.items())), self.prec)
+                )
+            elif self.backend.kind != EQUICHARP:
                 self._hash = hash(self._key())
             else:
                 # equal elements may hold their coefficients in different
@@ -487,7 +595,7 @@ class FieldElement:
                 # F_(p^k)
                 terms = tuple(
                     (key, None if any(c.value[1:]) else c.value[0])
-                    for key, c in sorted(self.terms.items(), key=lambda kv: kv[0])
+                    for key, c in sorted(self._c.items(), key=lambda kv: kv[0])
                 )
                 self._hash = hash((self.backend, terms, self.prec))
         return self._hash
@@ -508,7 +616,7 @@ class FieldElement:
     def literal(self) -> str:
         """Serialize to the CLI literal syntax (exact elements only)."""
         bk = self.backend
-        if bk.kind == PADIC and set(self.terms) <= {(0, 1)}:
+        if bk.kind == PADIC and set(self._c) <= {(0, 1)}:
             return str(self.terms.get((0, 1), Fraction(0)))
         pairs = []
         for q, c in self._sorted_terms():
@@ -518,12 +626,80 @@ class FieldElement:
         return "[" + ",".join(pairs) + "]"
 
 
-def _term_val(backend, key, coeff):
-    i, e = key
-    if backend.kind == PADIC:
-        v = _vp(coeff, backend.p)
-        return v + Fraction(i, e) if i else Fraction(v)
-    return Fraction(i, e)
+def _int_terms(terms):
+    """A PADIC term dict with rational (or int) coefficients as int
+    numerators over their least common denominator: keys reduced, zero terms
+    dropped."""
+    norm = {}
+    for (i, e), q in terms.items():
+        if q:
+            g = gcd(i, e)
+            key = (i // g, e // g)
+            norm[key] = q + norm.get(key, 0)
+    den = lcm(*(q.denominator for q in norm.values() if q))
+    return {k: q.numerator * (den // q.denominator) for k, q in norm.items() if q}, den
+
+
+def _int_element(bk, c, den, prec, x=None):
+    """The PADIC element with numerators c over den > 0, built without
+    __init__'s conversion (into x when given): c has reduced keys with
+    0 <= i < e and no zero numerator.  Drops the terms at or above prec,
+    caps the term count like __init__, and divides out gcd(den, c)."""
+    if prec is not None or len(c) > bk.precision:
+        c, prec = _trimmed(bk, c, den, prec)
+    if den != 1:
+        g = den
+        for n in c.values():
+            g = gcd(g, n)
+            if g == 1:
+                break
+        else:
+            c = {k: n // g for k, n in c.items()}
+            den //= g
+    if x is None:
+        x = _new_element(FieldElement)
+    x.backend = bk
+    x._c = c
+    x._den = den
+    x.prec = prec
+    x._val = None
+    x._hash = None
+    x._terms = None
+    return x
+
+
+_new_element = object.__new__
+
+
+def _trimmed(bk, c, den, prec):
+    """Numerators c over den without the terms at or above prec, capped at
+    the backend's term count; prec is lowered to the cap."""
+    p, vd = bk.p, _vpi(den, bk.p)
+
+    def term_val(item):
+        (i, e), n = item
+        return Fraction((_vpi(n, p) - vd) * e + i, e)
+
+    if prec is not None:
+        c = {k: n for k, n in c.items() if term_val((k, n)) < prec}
+    # cap the number of tracked terms at the backend precision
+    if len(c) > bk.precision:
+        items = sorted(c.items(), key=term_val)
+        cutoff = term_val(items[bk.precision])
+        c = dict(items[: bk.precision])
+        prec = cutoff if prec is None else min(prec, cutoff)
+    return c, prec
+
+
+def _int_lead(p, c):
+    """(v_p(n), key) of the term of least valuation among numerators c: the
+    least v_p(n), then the least i/e, since 0 <= i/e < 1."""
+    bw = None
+    for (i, e), n in c.items():
+        w = _vpi(n, p)
+        if bw is None or w < bw or w == bw and i * be < bi * e:
+            bw, bi, be = w, i, e
+    return bw, (bi, be)
 
 
 def _min_prec(a, b):
@@ -557,96 +733,52 @@ def _align_cfields(a: FieldElement, b: FieldElement, k_max=None):
 
 
 def _cfield(x: FieldElement):
-    for c in x.terms.values():
+    for c in x._c.values():
         return c.field
     return None
 
 
 def _embed_series(x: FieldElement, big: rs.ResidueField) -> FieldElement:
-    terms = {q: rs.embed_element(c, big) for q, c in x.terms.items()}
+    terms = {q: rs.embed_element(c, big) for q, c in x._c.items()}
     return FieldElement(x.backend, terms, x.prec)
 
 
-def _padic_inverse(bk, terms):
-    """Invert an element of Q(p^(1/e)) given by its term dict (exact)."""
-    e = 1
-    for (_, ee) in terms:
-        e = lcm(e, ee)
-    # as a polynomial in x = p^(1/e), degree < e
-    poly = [Fraction(0)] * e
-    for (i, ee), r in terms.items():
-        poly[i * (e // ee)] += r
-    if e == 1:
-        return {(0, 1): 1 / poly[0]}
-    # extended Euclid against x^e - p over Q[x]
-    modulus = [Fraction(-bk.p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
-    inv = _qpoly_invmod(poly, modulus)
-    return {(i, e): c for i, c in enumerate(inv) if c != 0}
+def _padic_inverse(p, c, den, e):
+    """Invert the element of Q(p^(1/e)) with numerators c over den (exact).
 
-
-def _qpoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qpoly_divmod(a, b):
-    a = _qpoly_trim(list(a))
-    b = _qpoly_trim(list(b))
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            r[i + d] -= c * y
-        _qpoly_trim(r)
-    return q, r
-
-
-def _qpoly_invmod(a, mod):
-    """Inverse of a modulo mod in Q[x] (mod irreducible)."""
-    a = _qpoly_trim(list(a))
-    b = list(mod)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    r0, r1 = b, a
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while _qpoly_trim(list(r1)):
-        q, r = _qpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, _qpoly_sub(t0, _qpoly_mul(q, t1))
-    # r0 = gcd (constant), t0 satisfies t0*a == r0 (mod mod)
-    r0 = _qpoly_trim(list(r0))
-    if len(r0) != 1:
-        raise DivisionByZero("element not invertible (unexpected)")
-    c = 1 / r0[0]
-    inv = [x * c for x in t0]
-    _, inv = _qpoly_divmod(inv, mod)
-    inv = inv + [Fraction(0)] * (len(mod) - 1 - len(inv))
-    return inv
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        out.append(x - y)
-    return _qpoly_trim(out)
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _qpoly_trim(out)
+    With x = p^(1/e), the element is N(x)/den, N of degree < e with integer
+    coefficients.  Its inverse is den * y(x), where y solves M y = (1, 0, ...)
+    for the matrix M of multiplication by N modulo x^e - p.  Fraction-free
+    Gauss-Jordan elimination keeps every entry an integer and ends with
+    det(M) on the diagonal, so y = (last column) / det(M).  Returns the
+    inverse as (numerators, denominator)."""
+    N = [0] * e
+    for (i, ee), n in c.items():
+        N[i * (e // ee)] += n
+    # row r, column k: the coefficient of x^r in N * x^k, then the
+    # right-hand side
+    rows = [[N[r - k] if r >= k else p * N[r - k + e] for k in range(e)] + [int(r == 0)]
+            for r in range(e)]
+    prev = 1
+    for k in range(e):
+        piv = next(r for r in range(k, e) if rows[r][k])  # M is invertible
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k]
+        a = pk[k]
+        for r in range(e):
+            if r != k:
+                row = rows[r]
+                b = row[k]
+                rows[r] = [(a * s - b * t) // prev for s, t in zip(row, pk)]
+        prev = a
+    sign = 1 if prev > 0 else -1
+    out = {}
+    for r in range(e):
+        n = rows[r][e] * den * sign
+        if n:
+            g = gcd(r, e)
+            out[r // g, e // g] = n
+    return out, prev * sign
 
 
 class UnsplitRoots:

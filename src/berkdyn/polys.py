@@ -74,7 +74,7 @@ def mul(a, b):
 
 def is_exact_zero(c):
     """Zero with no precision bound: not merely zero to working precision."""
-    return not c.terms and c.prec is None
+    return c.prec is None and c.is_zero_to_precision()
 
 
 def scale(a, c: FieldElement):

@@ -91,7 +91,7 @@ def ball_residue_poly(C, v, level):
         if c.valuation() + i * v > level:
             res.append(None)
         else:
-            res.append(_leading_residue(c))
+            res.append(c.leading_residue())
     field = common_residue_field([r for r in res if r is not None])
     out = []
     for r in res:
@@ -120,26 +120,6 @@ def leading_term(c: FieldElement) -> FieldElement:
     """The term of least valuation of c, as an exact element."""
     key = _leading_key(c)
     return FieldElement(c.backend, {key: c.terms[key]}, None)
-
-
-def _leading_residue(c: FieldElement) -> rs.ResidueElement:
-    """The residue of c * pi^(-val c), read off the leading term of c."""
-    bk = c.backend
-    v = c.valuation()
-    if c.prec is not None and c.prec <= v:
-        raise PrecisionExhausted("residue not determined at this precision")
-    lead = c.terms[_leading_key(c)]
-    if bk.kind == PADIC:
-        return bk.residue_field().from_fraction(
-            lead / Fraction(bk.p) ** (v.numerator // v.denominator)
-        )
-    if bk.kind == EQUICHARP:
-        if lead.field.k % bk.k:
-            # the product with pi^(-val c) embeds the coefficient in the
-            # field it generates with F_(p^k)
-            return (c * bk.uniformizer_pow(-v)).reduce()
-        return lead
-    return bk.residue_field().from_fraction(lead)
 
 
 def segment_residue_poly(G, seg):
@@ -294,7 +274,7 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
         if mult == 1:
             c1 = polys._synth_div(quot, z)[0]
             if not c1.is_zero_to_precision() and c0.valuation() > 2 * c1.valuation_lower_bound():
-                roots.append(_newton_refine(F, z, prec))
+                roots.append(_newton_refine(F, z, prec, c0, c1))
                 return
     # one more digit: polygon of F(z + h), segments deeper than `depth`
     if G is None:
@@ -335,8 +315,7 @@ def _isolates_root(G) -> bool:
 
 
 def _mark_approx(z: FieldElement, prec: Fraction) -> FieldElement:
-    t = z.truncate_below(prec)
-    return FieldElement(z.backend, t.terms, prec)
+    return z.truncate_below(prec)._with_prec(prec)
 
 
 def _ratrec(w: int, M: int):
@@ -398,26 +377,42 @@ def _finalize(F, z: FieldElement, prec: Fraction) -> FieldElement:
     return exact if exact is not None else marked
 
 
-def _newton_refine(F, z, prec):
-    """Quadratic refinement once the simple-root (Hensel) condition holds.
+def _newton_refine(F, z, prec, c0, c1):
+    """Quadratic refinement once the simple-root (Hensel) condition holds;
+    c0 and c1 are the constant and linear coefficients of F(z + h).
 
-    Each iterate is truncated below `prec`: the answer depends only on z mod
-    pi^prec, and untruncated exact steps double the size of z's rationals.
-    An exact iterate that is the root is returned exact."""
+    Each iterate known to `prec` is truncated below it and kept exact: the
+    answer depends only on z mod pi^prec, and untruncated exact steps double
+    the size of z's rationals.  So over the series fields the step c0/c1 is
+    computed only to absolute precision prec.  An exact iterate that is the
+    root is returned exact."""
     for _ in range(200):
-        c0, c1 = _taylor_head(F, z)
         if c0.is_zero_to_precision() and c0.is_exact:
             return z
         v1 = c1.valuation()
         if c0.is_zero_to_precision():
             # F is inexact: the root is z to c0's precision over c1
             return _finalize(F, z, min(prec, c0.prec - v1))
-        if c0.valuation() - v1 >= prec:
+        w = c0.valuation() - v1
+        if w >= prec:
             return _finalize(F, z, prec)
-        z = z - c0 / c1
-        if z.is_exact:
+        if z.backend.kind == PADIC:
+            # c1 is inverted exactly, as an element of a number field (or
+            # by the Newton path of inverse, for large e, to its budget)
+            z = z - c0 / c1
+        else:
+            # a series inverse stops at its budget: c0/c1 is needed to
+            # absolute precision prec, so c1 to relative precision prec - w
+            z = z - _known_to(c0, prec + v1) / _known_to(c1, prec - w + v1)
+        if z.is_exact or z.prec >= prec:
             z = z.truncate_below(prec)
+        c0, c1 = _taylor_head(F, z)
     raise PrecisionExhausted("Newton refinement did not reach target precision")
+
+
+def _known_to(c: FieldElement, prec) -> FieldElement:
+    """c as known only below prec, or below its own precision if lower."""
+    return c._with_prec(prec if c.prec is None else min(c.prec, prec))
 
 
 def roots_with_mult(F, prec=None, partial=False):

@@ -463,3 +463,76 @@ class TestBackendSpec:
                 for (i, e), c in t.terms.items():
                     assert 0 < c < F(bk.p) ** math.ceil(v - F(i, e))
                     assert c.denominator == bk.p ** -min(brute_valuation(c, bk.p), 0)
+
+
+class TestPadicAgainstSympy:
+    """p-adic tower arithmetic checked in Q[x]/(x^E - p) with sympy, where
+    x stands for p^(1/E) and E is the lcm of the operands' key denominators.
+    An element's value there is the sum of c * x^(i*E/e), its valuation the
+    least v_p(coefficient of x^j) + j/E (x^E - p is Eisenstein)."""
+
+    @staticmethod
+    def draw(rng, bk):
+        """An exact element as (q, c) pairs: exponents of either sign with
+        denominator 1-8, coefficients whose denominators may hold p."""
+        e = rng.choice([1, 2, 3, 4, 6, 8])
+        return [
+            (F(rng.randint(-2 * e, 3 * e), e),
+             F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([1, 2, 5, bk.p, bk.p ** 2, 3 * bk.p])))
+            for _ in range(rng.randint(1, 5))
+        ]
+
+    @staticmethod
+    def to_sympy(x, E, p):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * X ** (i * (E // e))
+                   for (i, e), c in x.terms.items())
+        return sympy.rem(sympy.Poly(expr, X, domain="QQ"), sympy.Poly(X ** E - p, X, domain="QQ"))
+
+    @staticmethod
+    def sympy_valuation(poly, E, p):
+        sympy = pytest.importorskip("sympy")
+        vals = [F(sympy.multiplicity(p, abs(c.p))) - sympy.multiplicity(p, c.q) + F(j, E)
+                for (j,), c in poly.terms() if c]
+        return min(vals) if vals else INF
+
+    @pytest.mark.parametrize("bk", [B2, B3, Backend(PADIC, p=101)], ids=["p2", "p3", "p101"])
+    def test_arithmetic_matches_the_quotient_ring(self, bk):
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        rng = random.Random(41)
+        p = bk.p
+        for _ in range(40):
+            xs, ys = self.draw(rng, bk), self.draw(rng, bk)
+            x = sum((bk.from_term(q, c) for q, c in xs), bk.zero())
+            y = sum((bk.from_term(q, c) for q, c in ys), bk.zero())
+            E = math.lcm(*(q.denominator for q, _ in xs + ys))
+            mod = sympy.Poly(X ** E - p, X, domain="QQ")
+            sx, sy = self.to_sympy(x, E, p), self.to_sympy(y, E, p)
+            assert x.valuation() == self.sympy_valuation(sx, E, p)
+            assert (x * y).is_exact and (x + y).is_exact
+            assert self.to_sympy(x * y, E, p) == sympy.rem(sx * sy, mod)
+            assert self.to_sympy(x + y, E, p) == sx + sy
+            assert self.to_sympy(x - y, E, p) == sx - sy
+            if x.is_zero_to_precision():
+                continue
+            inv = x.inverse()
+            # one term, or e <= 8 and exact: the inverse is exact
+            assert inv.is_exact
+            assert self.to_sympy(inv, E, p) == sympy.invert(sx, mod)
+
+    @pytest.mark.parametrize("bk", [B2, B3, Backend(PADIC, p=101)], ids=["p2", "p3", "p101"])
+    def test_one_value_built_four_ways(self, bk):
+        rng = random.Random(43)
+        for _ in range(40):
+            pairs = self.draw(rng, bk)
+            by_term = sum((bk.from_term(q, c) for q, c in pairs), bk.zero())
+            literal = bk.parse_literal("[" + ",".join(f"({q},{c})" for q, c in pairs) + "]")
+            u = bk.from_term(F(rng.randint(-3, 3), rng.choice([1, 2, 3])), F(rng.randint(1, 9), rng.randint(1, 9)))
+            by_arith = (by_term * u + u) * u.inverse() - bk.one()
+            by_dict = fl.FieldElement(bk, dict(by_term.terms), None)
+            values = [by_term, literal, by_arith, by_dict]
+            assert all(v == by_term for v in values)
+            assert len({hash(v) for v in values}) == 1
+            assert len({v._key() for v in values}) == 1

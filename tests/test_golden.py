@@ -24,6 +24,7 @@ import sympy
 
 from berkdyn import Backend, BerkdynError, EQUICHARP, PADIC, polys
 from berkdyn.berkovich import BerkPoint
+from berkdyn.fields import FieldElement
 from berkdyn.cli import main
 from berkdyn.ratmap import RationalMap
 from berkdyn.roots import roots_with_mult
@@ -230,6 +231,75 @@ def test_root_outcomes_match_golden():
     assert root_outcomes() == ROOT_GOLDEN.read_text()
 
 
+PADIC_GOLDEN = GOLDEN / "padic-arith.out"
+
+
+def _padic_operand(rng, bk):
+    """A random element of the tower over Q_p: up to five terms c*p^(i/e)
+    with e | 12 or e = 8, i from -2e to 3e (negative valuations, and carries
+    into the coefficient), c with a denominator divisible by p or prime to
+    it; a quarter of them known only to a random precision."""
+    p = bk.p
+    shape = rng.random()
+    if shape < 0.3:
+        nterms, e = 1, rng.choice([1, 2, 3, 4, 6, 8, 12])
+    elif shape < 0.7:
+        nterms, e = rng.randint(2, 5), rng.choice([2, 3, 4, 6, 8])
+    else:
+        nterms, e = rng.randint(2, 5), 12
+    x = bk.zero()
+    for _ in range(nterms):
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice([1, 2, 5, 7, p, p * p, 5 * p]))
+        x = x + bk.from_term(F(rng.randint(-2 * e, 3 * e), e), c)
+    if rng.random() < 0.25:
+        x = FieldElement(bk, dict(x.terms), F(rng.randint(-6, 24), rng.choice([1, 2, 3, 4])))
+    return x
+
+
+def _padic_line(head, f):
+    try:
+        r = f()
+    except BerkdynError as exc:
+        return f"{head}: {type(exc).__name__}: {exc}"
+    if not isinstance(r, FieldElement):  # a residue
+        return f"{head}: {r!r}"
+    lit = f" | {r.literal()}" if r.is_exact else ""
+    return f"{head}: {r!r}{lit} | vlb {r.valuation_lower_bound()}"
+
+
+def padic_outcomes():
+    """Eight lines per pair of operands, 13 pairs per prime p = 2, 3, 101
+    over a 12-term backend (so products and inverses hit the term cap),
+    drawn from seed 1809: x and y, then x*y, x + y, x - y, 1/x (monomial,
+    Euclid and Newton paths), x truncated below a random v, and the residue
+    of x.  Every fourth y is -x plus a small term, or -x itself: sums that
+    cancel."""
+    rng = random.Random(1809)
+    lines = []
+    for p in (2, 3, 101):
+        bk = Backend(PADIC, p=p, precision=12)
+        for n in range(13):
+            x, y = _padic_operand(rng, bk), _padic_operand(rng, bk)
+            if n % 4 == 3:
+                y = -x if rng.random() < 0.5 else -x + bk.from_term(F(rng.randint(0, 12), 4), F(1))
+            v = F(rng.randint(-6, 18), rng.choice([1, 2, 3, 4, 6]))
+            head = f"p={p} #{n}"
+            lines.append(f"{head} x = {x!r}")
+            lines.append(f"{head} y = {y!r}")
+            lines.append(_padic_line(f"{head} x*y", lambda: x * y))
+            lines.append(_padic_line(f"{head} x+y", lambda: x + y))
+            lines.append(_padic_line(f"{head} x-y", lambda: x - y))
+            lines.append(_padic_line(f"{head} 1/x", x.inverse))
+            lines.append(_padic_line(f"{head} x<{v}", lambda: x.truncate_below(v)))
+            lines.append(_padic_line(f"{head} res x", x.reduce))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_padic_outcomes_match_golden():
+    assert padic_outcomes() == PADIC_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     FIBER_GOLDEN.write_text(fiber_outcomes())
     ROOT_GOLDEN.write_text(root_outcomes())
+    PADIC_GOLDEN.write_text(padic_outcomes())

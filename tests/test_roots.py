@@ -15,7 +15,7 @@ from berkdyn import residue as rs
 from berkdyn.fields import FieldElement
 from berkdyn.berkovich import BerkPoint
 from berkdyn.ratmap import RationalMap
-from berkdyn.roots import _leading_residue, ball_residue_poly, pth_root_element, roots_with_mult
+from berkdyn.roots import ball_residue_poly, pth_root_element, roots_with_mult
 
 B2 = Backend(PADIC, p=2)
 B3 = Backend(PADIC, p=3)
@@ -309,20 +309,41 @@ class TestTowerBound:
                 assert min(prec or F(109, 4), F(77, 4)) <= r.prec <= F(109, 4)
                 assert polys.evaluate(exact, r).valuation_lower_bound() >= r.prec
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known defect: _newton_refine's steps z - c0/c1 on an inexact c0 "
-        "lose precision; -2^(1/4) comes back at 77/4 (ROADMAP item 8)",
-    )
     def test_inexact_quartic_roots_reach_the_requested_precision(self):
         # 2 + O(2^30) fixes each root to 109/4 > 20, so both can be given
-        # to the requested precision 20
+        # to the requested precision 20: a Newton iterate known to 20 is
+        # truncated there and kept exact, so no step loses precision on it
         two = FieldElement(B2, {(0, 1): F(2)}, F(30))
         P = [-two, B2.zero(), B2.zero(), B2.zero(), B2.one()]
         got = roots_with_mult(P, prec=20, partial=True)
         assert len(got) == 2
         assert all(r.prec >= 20 for r, _ in got), [r.prec for r, _ in got]
+
+
+class TestNewtonStart:
+    """Newton refinement starts from the Taylor head that the descent node
+    has already computed at the same centre."""
+
+    def test_simple_root_divides_f_once_per_centre(self, monkeypatch):
+        # z^2 - 2 over Q_7: the descent reaches each root's first digit z = 3
+        # or 4 with c0 = 7 and c1 = 6 or 8, the Hensel condition, and refines
+        # from there.  F and its quotient are divided by z - 3 once each.
+        bk = Backend(PADIC, p=7)
+        F = polys.from_rationals(bk, [-2, 0, 1])
+        centres = []
+        synth_div = polys._synth_div
+
+        def counted(coeffs, a):
+            centres.append(a)
+            return synth_div(coeffs, a)
+
+        monkeypatch.setattr(polys, "_synth_div", counted)
+        got = roots_with_mult(F, prec=12)
+        assert [m for _, m in got] == [1, 1]
+        for r, _ in got:
+            assert (r * r - bk.from_int(2)).valuation_lower_bound() >= 12
+        for digit in (3, 4):
+            assert sum(a == bk.from_int(digit) for a in centres) == 2
 
 
 def pi_valuation(x, E):
@@ -764,7 +785,7 @@ class TestLeadingResidue:
             if not c.terms:
                 continue
             want = (c * bk.uniformizer_pow(-c.valuation())).reduce()
-            assert _leading_residue(c) == want
+            assert c.leading_residue() == want
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_padic_towers_up_to_e_47(self, p):
