@@ -33,6 +33,7 @@ from .errors import (
     ExtensionBound,
 )
 from . import residue as rs
+from .residue import UnsplitRoots  # the mark that ends a residue_roots list
 
 INF = math.inf
 
@@ -781,20 +782,6 @@ def _padic_inverse(p, c, den, e):
     return out, prev * sign
 
 
-class UnsplitRoots:
-    """Stands, as the last entry of a residue_roots list, for roots that were
-    not computed: those of the first level beyond `split_k` that holds any,
-    whose smallest field is F_(p^k)."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __repr__(self):
-        return f"UnsplitRoots(k={self.k})"
-
-
 def residue_roots(coeffs, k_max=DEFAULT_KMAX, split_k=None):
     """Roots of a polynomial over a residue field, searching extensions up
     to degree k_max.
@@ -803,13 +790,13 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX, split_k=None):
     Returns [(root, multiplicity)].  Raises ExtensionBound when no root is
     representable within the bound (QQ: no rational root).
 
-    Over F_q the roots come level by level, m = 1, 2, ... while q^m stays
-    within F_{p^k_max} and roots are missing: the roots whose smallest field
-    over F_q is F_{q^m}, in ResidueField.elements() order.  The distinct-
-    degree step gives, over F_q, the product g_m of the irreducible factors
-    of degree m; residue.rpoly_split_roots finds its roots in F_{q^m}, one
-    equal-degree split per Frobenius orbit.  A level without such factors is
-    skipped without embedding anything.
+    Over F_q (residue.rpoly_roots, on the field's codes) the roots come level
+    by level, m = 1, 2, ... while q^m stays within F_{p^k_max} and roots are
+    missing: the roots whose smallest field over F_q is F_{q^m}, in
+    ResidueField.elements() order.  The distinct-degree step gives, over
+    F_q, the product g_m of the irreducible factors of degree m; its roots in
+    F_{q^m} come from one equal-degree split per Frobenius orbit.  A level
+    without such factors is skipped without embedding anything.
 
     Only the levels the caller can use are split: the first level whose
     field F_(p^k) has k > split_k (default k_max) and that holds roots ends
@@ -818,55 +805,12 @@ def residue_roots(coeffs, k_max=DEFAULT_KMAX, split_k=None):
     coeffs = rs.rpoly_trim(list(coeffs))
     if rs.rpoly_degree(coeffs) < 1:
         raise ValueError("residue_roots needs deg >= 1")
-    field = coeffs[0].field
-    if field.is_rational:
+    if coeffs[0].field.is_rational:
         found = _rational_roots(coeffs)
         if not found:
             raise ExtensionBound("no rational residue roots")
         return found
-    split_k = k_max if split_k is None else split_k
-    base_k = field.k
-    p = field.p
-    found = []
-    total_mult = 0
-    deg = rs.rpoly_degree(coeffs)
-    x = [field.zero(), field.one()]
-    frob = x
-    # level d -> product of the irreducible factors of degree d of coeffs
-    level_factors = {}
-    m = 0
-    while base_k * (m + 1) <= k_max and total_mult < deg:
-        m += 1
-        # frob = X^(q^m) mod coeffs; gcd(coeffs, frob - X) is the product of
-        # the irreducible factors whose degree divides m
-        frob = rs.rpoly_powmod(frob, p**base_k, coeffs, field)
-        g = rs.rpoly_gcd(coeffs, rs.rpoly_sub(frob, x, field), field)
-        for d, g_d in level_factors.items():
-            if m % d == 0:  # drop the factors of degree d < m
-                g = rs.rpoly_divmod(g, g_d, field)[0]
-        if len(g) < 2:
-            continue
-        if base_k * m > split_k:
-            found.append((UnsplitRoots(base_k * m), deg - total_mult))
-            break
-        level_factors[m] = g
-        big = rs.ResidueField(p, base_k * m)
-        emb = [rs.embed_element(c, big) for c in coeffs]
-        g_big = [rs.embed_element(c, big) for c in g]
-        for cand in rs.rpoly_split_roots(g_big, big, p**base_k):
-            if not rs.rpoly_eval(emb, cand).is_zero():
-                continue
-            mult = 0
-            work = list(emb)
-            divisor = [-cand, big.one()]
-            while True:
-                q, r = rs.rpoly_divmod(work, divisor, big)
-                if r:
-                    break
-                work = q
-                mult += 1
-            found.append((cand, mult))
-            total_mult += mult
+    found = rs.rpoly_roots(coeffs, k_max, k_max if split_k is None else split_k)
     if not found:
         raise ExtensionBound(
             f"residue roots require an extension beyond k_max={k_max}"
@@ -897,34 +841,16 @@ def _rational_roots(coeffs):
         for pden in _divisors(abs(ints[-1])):
             cands.add(Fraction(pnum, pden))
             cands.add(Fraction(-pnum, pden))
-    work = [Fraction(c) for c in ints]
+    work = [field.from_int(c) for c in ints]
     for cand in sorted(cands):
+        x = rs.ResidueElement(field, cand)
         mult = 0
-        while _qpoly_eval(work, cand) == 0:
-            work = _qpoly_deflate(work, cand)
+        while rs.rpoly_eval(work, x).is_zero():
+            work = rs.rpoly_divmod(work, [-x, field.one()], field)[0]
             mult += 1
         if mult:
-            found.append((rs.ResidueElement(field, cand), mult))
+            found.append((x, mult))
     return found
-
-
-def _qpoly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _qpoly_deflate(coeffs, root):
-    """Divide by (z - root), assuming exact divisibility (synthetic division)."""
-    out = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    out = out[:-1]  # drop the remainder (zero by assumption)
-    out.reverse()
-    return out
 
 
 def _divisors(n):

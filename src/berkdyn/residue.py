@@ -11,27 +11,32 @@ into distinct linear factors: by evaluation at every element when Q is small
 against the degree, by Cantor-Zassenhaus equal-degree splitting otherwise.
 The split follows one branch per Frobenius orbit: the roots of an
 irreducible factor over the coefficient field F_q are the conjugates x, x^q,
-x^(q^2), ... of the first one found.  fields.residue_roots reduces any
-polynomial to that case by distinct-degree factorization over its own field,
-and splits only the levels whose roots its caller can lift: the digits of
-Q_p lie in F_p, so there the first further level holding roots is reported
-without building its field.
+x^(q^2), ... of the first one found.  rpoly_roots, the finite-field case of
+fields.residue_roots, reduces any polynomial to that case by distinct-degree
+factorization over its own field, and splits only the levels whose roots its
+caller can lift: the digits of Q_p lie in F_p, so there the first further
+level holding roots is reported without building its field.
 
-Products in an extension field F_Q, Q = p^k <= TABLE_LIMIT, are lookups in
-discrete-log tables built on the field's first product: the powers of a
-primitive element as coordinate tuples, and the log of each element at its
-elements() position.  Inverses, powers and p-th roots are lookups too.  The
-largest builds under the limit take about 50 ms on a 2-core Xeon (F_(2^13),
-F_(5^6), F_(11^4); F_(7^4) takes 8 ms), where F_(13^4) would take 90 ms and
-F_(2^14) 130 ms; larger fields keep schoolbook products.
+Every finite field F_Q, Q = p^k <= TABLE_LIMIT, gets discrete-log tables on
+its first product or polynomial operation: the powers of a primitive element
+g, the log of each element, and the Zech logs zech[j] = log(1 + g^j).
+Extension-field products, inverses and powers are lookups in them, and the
+polynomial kernels run on codes: logs, Q - 1 for zero, so that a product is a
+sum of logs and a sum one Zech lookup.  Over QQ and beyond the limit the same
+kernels run on ResidueElements.  The largest builds under the limit take
+about 50 ms on a 2-core Xeon (F_(2^13), F_(5^6), F_(11^4); F_(7^4) takes
+8 ms), where F_(13^4) would take 90 ms and F_(2^14) 130 ms.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 from .errors import DivisionByZero
 
@@ -57,9 +62,9 @@ class ResidueField:
 
     @cached_property
     def _tables(self):
-        """The discrete-log tables of an extension field of at most
-        TABLE_LIMIT elements, else None."""
-        if self.k > 1 and self.p**self.k <= TABLE_LIMIT:
+        """The discrete-log tables of a finite field of at most TABLE_LIMIT
+        elements, else None."""
+        if self.p and self.p**self.k <= TABLE_LIMIT:
             return _log_tables(self.p, self.k)
         return None
 
@@ -185,11 +190,10 @@ class ResidueElement:
             return ResidueElement(f, (self.value[0] * other.value[0] % f.p,))
         if f._tables is None:
             return ResidueElement(f, _schoolbook(self.value, other.value, f))
-        powers, logs = f._tables
+        powers, logs, zech = f._tables
         i, j = _index(self.value, f.p), _index(other.value, f.p)
         if i and j:
-            # log x + log y < 2(Q - 1): a negative index wraps once
-            return ResidueElement(f, powers[logs[i] + logs[j] - len(powers)])
+            return ResidueElement(f, powers[(logs[i] + logs[j]) % len(zech)])
         return f.zero()
 
     def inverse(self):
@@ -204,14 +208,14 @@ class ResidueElement:
             return self ** -1
         # extended Euclid in F_p[x] against the modulus, keeping s_i * self = r_i
         # modulo it
-        fp = ResidueField(f.p)
-        r0, r1 = [fp.from_int(c) for c in f.modulus], rpoly_trim(map(fp.from_int, self.value))
-        s0, s1 = [], [fp.one()]
+        ar = _arith(f.p, 1)
+        r0, r1 = (_trim([ar.code((c,)) for c in v], ar.zero) for v in (f.modulus, self.value))
+        s0, s1 = [], [ar.one]
         while len(r1) > 1:
-            q, r = rpoly_divmod(r0, r1, fp)
-            r0, r1, s0, s1 = r1, r, s1, rpoly_sub(s0, rpoly_mul(q, s1, fp), fp)
-        c = r1[0].inverse()
-        return ResidueElement(f, tuple((x * c).value[0] for x in s1) + (0,) * (f.k - len(s1)))
+            q, r = _divmod(r0, r1, ar)
+            r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, ar), ar)
+        s1 = [ar.value(ar.mul(x, ar.inv(r1[0])))[0] for x in s1]
+        return ResidueElement(f, tuple(s1) + (0,) * (f.k - len(s1)))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -219,8 +223,8 @@ class ResidueElement:
     def __pow__(self, n: int):
         f = self.field
         if f._tables is not None and self:
-            powers, logs = f._tables
-            return ResidueElement(f, powers[logs[_index(self.value, f.p)] * n % len(powers)])
+            powers, logs, zech = f._tables
+            return ResidueElement(f, powers[logs[_index(self.value, f.p)] * n % len(zech)])
         if n < 0:
             return self.inverse() ** (-n)
         result = self.field.one()
@@ -263,16 +267,17 @@ def _index(value, p):
     return n
 
 
-# Extension fields of at most this many elements multiply through discrete-log
+# Finite fields of at most this many elements compute through discrete-log
 # tables (module docstring); F_(11^4) has 14,641.
 TABLE_LIMIT = 16000
 
 
 @lru_cache(maxsize=None)
 def _log_tables(p, k):
-    """(powers, logs) for GF(p, k), from its first primitive element g in
-    elements() order: powers[n] = g^n for 0 <= n < Q - 1, as coordinate
-    tuples, and logs[_index(x)] the discrete log of each nonzero x."""
+    """(powers, logs, zech) for GF(p, k), from its first primitive element g
+    in elements() order: powers[j] = g^j as coordinate tuples, logs[_index(x)]
+    the discrete log of each x, and zech[j] = log(1 + g^j); the log of zero
+    is n = Q - 1, and powers[n] the zero tuple."""
     field = ResidueField(p, k)
     order = p**k - 1
     one = field.one().value
@@ -293,10 +298,12 @@ def _log_tables(p, k):
     powers = [one]
     for _ in range(order - 1):
         powers.append(_schoolbook(g, powers[-1], field))
-    logs = array("i", [0]) * (order + 1)
+    logs = array("i", [order]) * (order + 1)
     for n, x in enumerate(powers):
         logs[_index(x, p)] = n
-    return powers, logs
+    zech = array("i", [logs[_index(((x[0] + 1) % p,) + x[1:], p)] for x in powers])
+    powers.append(field.zero().value)
+    return powers, logs, zech
 
 
 @lru_cache(maxsize=None)
@@ -357,6 +364,122 @@ def _find_irreducible(p, k):
     raise RuntimeError("no irreducible found (unreachable)")
 
 
+# Polynomial kernels: trimmed ascending lists of codes, over the operations of
+# an _Arith; `code` and `value` convert from and to ResidueElement.value.
+
+_Arith = namedtuple("_Arith", "zero one add mul neg inv pow code value elements")
+
+
+@lru_cache(maxsize=None)
+def _arith(p, k):
+    """The _Arith of GF(p, k), or of QQ when p = 0."""
+    field = ResidueField(p, k)
+    if field._tables is None:
+        return _Arith(field.zero(), field.one(), operator.add, operator.mul, operator.neg,
+                      ResidueElement.inverse, operator.pow, lambda v: ResidueElement(field, v),
+                      operator.attrgetter("value"), field.elements)
+    powers, logs, zech = field._tables
+    n = len(zech)  # the multiplicative order, and the code of zero
+    minus_one = n // 2 if p > 2 else 0
+
+    def add(a, b):
+        if a == n:
+            return b
+        if b == n:
+            return a
+        # g^a + g^b = g^a (1 + g^(b - a)); a negative index wraps mod n
+        c = zech[b - a]
+        if c == n:
+            return n
+        c += a
+        return c - n if c >= n else c
+
+    def mul(a, b):
+        if a == n or b == n:
+            return n
+        c = a + b
+        return c - n if c >= n else c
+
+    return _Arith(n, 0, add, mul, lambda a: mul(a, minus_one), lambda a: -a % n,
+                  lambda a, e: n if a == n else a * e % n,  # e >= 1
+                  lambda v: logs[_index(v, p)], powers.__getitem__, lambda: logs)
+
+
+def _encode(coeffs, ar):
+    return _trim([ar.code(c.value) for c in coeffs], ar.zero)
+
+
+def _decode(codes, field, ar):
+    return [ResidueElement(field, ar.value(c)) for c in codes]
+
+
+def _trim(a, zero):
+    while a and a[-1] == zero:
+        a.pop()
+    return a
+
+
+def _mul(a, b, ar):
+    if not a or not b:
+        return []
+    zero, add, mul = ar.zero, ar.add, ar.mul
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _divmod(a, b, ar):
+    zero, add, mul, neg = ar.zero, ar.add, ar.mul, ar.neg
+    inv_lead = ar.inv(b[-1])
+    low = b[:-1]
+    q = [zero] * max(0, len(a) - len(low))
+    r = list(a)
+    while len(r) > len(low):
+        c = mul(r.pop(), inv_lead)
+        d = len(r) - len(low)
+        q[d] = c
+        # the leading term cancels exactly and was popped
+        c = neg(c)
+        for i, y in enumerate(low, d):
+            r[i] = add(r[i], mul(c, y))
+        while r and r[-1] == zero:
+            r.pop()
+    return q, r
+
+
+def _gcd(a, b, ar):
+    """The monic gcd."""
+    while b:
+        a, b = b, _divmod(a, b, ar)[1]
+    c = ar.inv(a[-1]) if a else None
+    return [ar.mul(x, c) for x in a]
+
+
+def _sub(a, b, ar):
+    add, neg = ar.add, ar.neg
+    return _trim([add(x, neg(y)) for x, y in zip_longest(a, b, fillvalue=ar.zero)], ar.zero)
+
+
+def _powmod(base, n, mod, ar):
+    """base^n modulo mod."""
+    base, result = _divmod(base, mod, ar)[1], [ar.one]
+    for bit in bin(n)[2:]:
+        result = _divmod(_mul(result, result, ar), mod, ar)[1]
+        if bit == "1":
+            result = _divmod(_mul(result, base, ar), mod, ar)[1]
+    return result
+
+
+def _eval(coeffs, x, ar):
+    add, mul, acc = ar.add, ar.mul, ar.zero
+    for c in reversed(coeffs):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over a ResidueField (coefficient lists of ResidueElements)
 
@@ -374,86 +497,49 @@ def rpoly_degree(coeffs):
 
 
 def rpoly_eval(coeffs, x: ResidueElement):
-    acc = x.field.zero()
-    for c in reversed(rpoly_trim(coeffs)):
-        acc = acc * x + c
-    return acc
+    ar = _arith(x.field.p, x.field.k)
+    return ResidueElement(x.field, ar.value(_eval(_encode(coeffs, ar), ar.code(x.value), ar)))
 
 
 def rpoly_mul(a, b, field):
-    a, b = rpoly_trim(a), rpoly_trim(b)
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+    ar = _arith(field.p, field.k)
+    return _decode(_mul(_encode(a, ar), _encode(b, ar), ar), field, ar)
 
 
 def rpoly_divmod(a, b, field):
-    a, b = rpoly_trim(a), rpoly_trim(b)
-    if not b:
+    ar = _arith(field.p, field.k)
+    if not (b := _encode(b, ar)):
         raise ZeroDivisionError
-    inv_lead = b[-1].inverse()
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    r = a
-    while len(r) >= len(b):
-        c = r.pop() * inv_lead
-        d = len(r) + 1 - len(b)
-        q[d] = c
-        # the leading term cancels exactly and was popped
-        for i, y in enumerate(b[:-1]):
-            r[i + d] = r[i + d] - c * y
-        while r and r[-1].is_zero():
-            r.pop()
-    return q, r
+    return tuple(_decode(x, field, ar) for x in _divmod(_encode(a, ar), b, ar))
 
 
 def rpoly_gcd(a, b, field):
-    a, b = rpoly_trim(a), rpoly_trim(b)
-    while b:
-        a, b = b, rpoly_divmod(a, b, field)[1]
-    if a:
-        c = a[-1].inverse()
-        a = [x * c for x in a]
-    return a
+    ar = _arith(field.p, field.k)
+    return _decode(_gcd(_encode(a, ar), _encode(b, ar), ar), field, ar)
 
 
 def rpoly_sub(a, b, field):
-    a, b = list(a), list(b)
-    n = max(len(a), len(b))
-    a += [field.zero()] * (n - len(a))
-    b += [field.zero()] * (n - len(b))
-    return rpoly_trim([x - y for x, y in zip(a, b)])
+    ar = _arith(field.p, field.k)
+    return _decode(_sub(_encode(a, ar), _encode(b, ar), ar), field, ar)
 
 
 def rpoly_powmod(base, n, mod, field):
     """base^n modulo mod."""
-    result = [field.one()]
-    base = rpoly_divmod(base, mod, field)[1]
-    while True:
-        if n & 1:
-            result = rpoly_divmod(rpoly_mul(result, base, field), mod, field)[1]
-        n >>= 1
-        if not n:
-            return result
-        base = rpoly_divmod(rpoly_mul(base, base, field), mod, field)[1]
+    ar = _arith(field.p, field.k)
+    return _decode(_powmod(_encode(base, ar), n, _encode(mod, ar), ar), field, ar)
 
 
 # Finding the roots of a degree-d polynomial by evaluating it at every element
 # of F_Q costs about Q*d products; splitting it costs about d^2*log(Q)
 # products per random trial, down one branch per Frobenius orbit.  Fields
 # with at most this many elements per degree are enumerated.  Timed in
-# residue_roots on products of distinct irreducibles (split time over
-# enumeration time, medians of 7 interleaved runs on 3 polynomials each, on a
-# 2-core Xeon): prime fields, whose products the tables leave alone, cross
-# over at 26 to 33 elements per degree (F_131, d = 5: 1.18; F_61, d = 2:
-# 0.77); extension fields, with table products, at 16 to 20 (F_121, d = 8:
-# 1.05; F_343, d = 18: 0.93), so up to 32 they enumerate at a loss of up to
-# a quarter (F_121, d = 4: 0.75).  A lower bound would cost the prime fields
-# as much.
-ENUMERATE_PER_DEGREE = 32
+# residue_roots on products of d distinct linear factors over F_Q (split time
+# over enumeration time, medians of 7 interleaved runs on 3 polynomials each,
+# on a 2-core Xeon), both on codes: fields of odd p cross over at 49 to 78
+# elements per degree (F_167, d = 3: 1.14; F_343, d = 5: 0.86), prime or not;
+# fields of characteristic 2, whose split takes k - 1 squarings for the
+# trace, only at 85 to 128 (F_256, d = 4: 1.17; d = 2: 0.67).
+ENUMERATE_PER_DEGREE = 64
 
 
 def rpoly_split_roots(g, field, q):
@@ -468,56 +554,112 @@ def rpoly_split_roots(g, field, q):
     gives the others as its conjugates: they are divided out of the factors
     still to be split, and the split follows one branch per orbit (the
     smaller factor first)."""
-    g = rpoly_trim(g)
+    ar = _arith(field.p, field.k)
+    return _decode(_split_roots(_encode(g, ar), field, ar, q), field, ar)
+
+
+def _split_roots(g, field, ar, q):
+    zero, mul, neg, inv = ar.zero, ar.mul, ar.neg, ar.inv
     if len(g) == 2:
-        return [-g[0] / g[1]]
+        return [mul(neg(g[0]), inv(g[1]))]
     if field.p ** field.k <= ENUMERATE_PER_DEGREE * (len(g) - 1):
-        return [x for x in field.elements() if rpoly_eval(g, x).is_zero()]
+        return [x for x in ar.elements() if _eval(g, x, ar) == zero]
     rng = random.Random(0)
     found = []
     todo = [g]
     while todo:
         h = todo.pop()
         if len(h) > 2:
-            s = _split(h, field, rng)
-            todo += sorted([s, rpoly_divmod(h, s, field)[0]], key=len, reverse=True)
+            s = _split(h, field, ar, rng)
+            todo += sorted([s, _divmod(h, s, ar)[0]], key=len, reverse=True)
             continue
-        root = -h[0] / h[1]
+        root = mul(neg(h[0]), inv(h[1]))
         found.append(root)
-        conj = root**q
+        conj = ar.pow(root, q)
         while conj != root:
             found.append(conj)
-            todo = [t for t in (_deflate(t, conj, field) for t in todo) if len(t) > 1]
-            conj = conj**q
-    return sorted(found, key=lambda x: x.value[::-1])
+            todo = [t for t in (_deflate(t, conj, ar) for t in todo) if len(t) > 1]
+            conj = ar.pow(conj, q)
+    return sorted(found, key=lambda x: ar.value(x)[::-1])
 
 
-def _deflate(h, root, field):
+def _deflate(h, root, ar):
     """h / (X - root) when root is a root of h, else h."""
-    quot, rem = rpoly_divmod(h, [-root, field.one()], field)
+    quot, rem = _divmod(h, [ar.neg(root), ar.one], ar)
     return h if rem else quot
 
 
-def _split(h, field, rng):
+def _split(h, field, ar, rng):
     """A proper monic factor of h (degree >= 2, distinct roots in field)."""
     p, k = field.p, field.k
     while True:
-        delta = ResidueElement(field, tuple(rng.randrange(p) for _ in range(k)))
+        delta = ar.code(tuple(rng.randrange(p) for _ in range(k)))
         if p == 2:
             # absolute trace of delta*X, in F_2 at every root (and a sum,
             # since subtracting is adding in characteristic 2)
-            t = rpoly_divmod([field.zero(), delta], h, field)[1]
+            t = _divmod(_trim([ar.zero, delta], ar.zero), h, ar)[1]
             test = t
             for _ in range(k - 1):
-                t = rpoly_powmod(t, 2, h, field)
-                test = rpoly_sub(test, t, field)
+                t = _powmod(t, 2, h, ar)
+                test = _sub(test, t, ar)
         else:
             # (X + delta)^((Q-1)/2) - 1 vanishes where X + delta is a square
-            half = rpoly_powmod([delta, field.one()], (p**k - 1) // 2, h, field)
-            test = rpoly_sub(half, [field.one()], field)
-        s = rpoly_gcd(h, test, field)
+            half = _powmod([delta, ar.one], (p**k - 1) // 2, h, ar)
+            test = _sub(half, [ar.one], ar)
+        s = _gcd(h, test, ar)
         if 1 < len(s) < len(h):
             return s
+
+
+class UnsplitRoots(namedtuple("UnsplitRoots", "k")):
+    """Stands, as the last entry of a residue_roots list, for roots that were
+    not computed: those of the first level beyond `split_k` that holds any,
+    whose smallest field is F_(p^k)."""
+
+
+def rpoly_roots(coeffs, k_max, split_k):
+    """fields.residue_roots of the trimmed coeffs (degree >= 1) over a finite
+    field, which see, with [] for no root within k_max."""
+    field = coeffs[0].field
+    p, k = field.p, field.k
+    ar = _arith(p, k)
+    f = _encode(coeffs, ar)
+    deg = len(f) - 1
+    frob = x = [ar.zero, ar.one]
+    # level d -> product of the irreducible factors of degree d of f
+    level_factors = {}
+    found = []
+    total_mult = m = 0
+    while k * (m + 1) <= k_max and total_mult < deg:
+        m += 1
+        # frob = X^(q^m) mod f; gcd(f, frob - X) is the product of the
+        # irreducible factors whose degree divides m
+        frob = _powmod(frob, p**k, f, ar)
+        g = _gcd(f, _sub(frob, x, ar), ar)
+        for d, g_d in level_factors.items():
+            if m % d == 0:  # drop the factors of degree d < m
+                g = _divmod(g, g_d, ar)[0]
+        if len(g) < 2:
+            continue
+        if k * m > split_k:
+            found.append((UnsplitRoots(k * m), deg - total_mult))
+            break
+        level_factors[m] = g
+        big, big_ar = ResidueField(p, k * m), _arith(p, k * m)
+        emb = [embed_element(c, big) for c in coeffs]
+        work = _encode(emb, big_ar)
+        g_big = _encode([embed_element(c, big) for c in _decode(g, field, ar)], big_ar)
+        for cand in _split_roots(g_big, big, big_ar, p**k):
+            root = ResidueElement(big, big_ar.value(cand))
+            if not rpoly_eval(emb, root).is_zero():
+                continue
+            # the factors of the roots before it are divided out of work
+            mult = 0
+            while (quot := _deflate(work, cand, big_ar)) is not work:
+                work, mult = quot, mult + 1
+            found.append((root, mult))
+            total_mult += mult
+    return found
 
 
 def embed_element(x: ResidueElement, big: ResidueField) -> ResidueElement:

@@ -10,8 +10,9 @@ One more file pins the outcome of 200 type-II fibers over padic:p=3
 (`fiber_outcomes`): points, multiplicities and their order, or the typed
 error and its message.  Another pins the roots of 40 split products over
 laurentfp (`root_outcomes`), in the order the residue-field split finds
-them.  Re-record both with `python tests/test_golden.py` only when an
-outcome is meant to change.
+them.  Others pin PADIC arithmetic (`padic_outcomes`) and the residue-field
+root search itself (`residue_outcomes`).  Re-record them with
+`python tests/test_golden.py` only when an outcome is meant to change.
 """
 
 import random
@@ -23,8 +24,9 @@ import pytest
 import sympy
 
 from berkdyn import Backend, BerkdynError, EQUICHARP, PADIC, polys
+from berkdyn import residue as rs
 from berkdyn.berkovich import BerkPoint
-from berkdyn.fields import FieldElement
+from berkdyn.fields import FieldElement, UnsplitRoots, residue_roots
 from berkdyn.cli import main
 from berkdyn.ratmap import RationalMap
 from berkdyn.roots import roots_with_mult
@@ -299,7 +301,96 @@ def test_padic_outcomes_match_golden():
     assert padic_outcomes() == PADIC_GOLDEN.read_text()
 
 
+RESIDUE_GOLDEN = GOLDEN / "residue-roots.out"
+# residue fields GF(p, k) of the root-search corpus: prime and extension
+# fields on both sides of residue.TABLE_LIMIT
+RESIDUE_FIELDS = [(2, 1), (3, 1), (7, 1), (11, 1), (101, 1), (2, 4), (3, 2), (7, 2), (101, 2)]
+
+
+def _residue_poly(rng, field, deg):
+    p, k = field.p, field.k
+    coeffs = [rs.ResidueElement(field, tuple(rng.randrange(p) for _ in range(k)))
+              for _ in range(deg + 1)]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = field.one()
+    return coeffs
+
+
+def _residue_line(head, f):
+    try:
+        found = f()
+    except BerkdynError as exc:
+        return f"{head}: {type(exc).__name__}: {exc}"
+    return head + ": " + "; ".join(
+        (f"{r!r}" if isinstance(r, UnsplitRoots) else f"{r.field.k}:{r.value}") + f" x{m}"
+        for r, m in found)
+
+
+def residue_outcomes():
+    """Two lines per polynomial, drawn from seed 1901: `residue_roots` with
+    split_k as PADIC sets it (the base field's degree) and unset, at one
+    k_max from 1 to 4; each line the roots (field degree, coordinates, in
+    order) and multiplicities, the UnsplitRoots mark, or the typed error.
+    32 polynomials per field of RESIDUE_FIELDS, a third of them a^2*b with
+    repeated factors; 12 over F_101 with an irreducible cubic factor, whose
+    roots lie in F_(101^3).  Then `rpoly_split_roots` over F_(2^8), where the
+    split takes the absolute trace: products of distinct linear factors
+    (q = 2^8) and of irreducibles over F_2 (q = 2, one orbit each)."""
+    rng = random.Random(1901)
+    lines = []
+    cases = []
+    for p, k in RESIDUE_FIELDS:
+        field = rs.ResidueField(p, k)
+        for n in range(32):
+            if n % 3 == 2:
+                a = _residue_poly(rng, field, rng.randint(1, 2))
+                coeffs = rs.rpoly_mul(rs.rpoly_mul(a, a, field),
+                                      _residue_poly(rng, field, rng.randint(0, 2)), field)
+            else:
+                coeffs = _residue_poly(rng, field, rng.randint(1, 6))
+            cases.append((field, coeffs, rng.randint(1, 4)))
+    f101 = rs.ResidueField(101)
+    x = sympy.Symbol("x")
+    for _ in range(12):
+        while True:
+            cubic = [rng.randrange(101) for _ in range(3)] + [1]
+            if sympy.Poly(list(reversed(cubic)), x, modulus=101).is_irreducible:
+                break
+        coeffs = rs.rpoly_mul([f101.from_int(c) for c in cubic],
+                              _residue_poly(rng, f101, rng.randint(0, 3)), f101)
+        cases.append((f101, coeffs, rng.randint(3, 4)))
+    for field, coeffs, k_max in cases:
+        for split_k in (field.k, None):
+            head = f"{field!r} {[c.value for c in coeffs]} k_max={k_max} split_k={split_k}"
+            lines.append(_residue_line(
+                head, lambda: residue_roots(coeffs, k_max=k_max, split_k=split_k)))
+    big = rs.ResidueField(2, 8)
+    for n in range(8):
+        g = [big.one()]
+        roots = set()
+        while len(roots) < rng.randint(3, 6):
+            roots.add(tuple(rng.randrange(2) for _ in range(8)))
+        for r in sorted(roots):
+            g = rs.rpoly_mul(g, [-rs.ResidueElement(big, r), big.one()], big)
+        lines.append(f"GF(2^8) {[c.value for c in g]} q=256: "
+                     + "; ".join(str(r.value) for r in rs.rpoly_split_roots(g, big, 2**8)))
+    x, x1 = (0, 1), (1, 1)
+    f2, f4, f8 = (rs._find_irreducible(2, d) for d in (2, 4, 8))
+    for factors in [(x1, f2), (f4,), (f2, f4), (f8,), (x, x1, f8), (f2, f8), (f4, f8), (x, f2, f4, f8)]:
+        g = [big.one()]
+        for f in factors:
+            g = rs.rpoly_mul(g, [big.from_int(c) for c in f], big)
+        lines.append(f"GF(2^8) {[c.value for c in g]} q=2: "
+                     + "; ".join(str(r.value) for r in rs.rpoly_split_roots(g, big, 2)))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_residue_outcomes_match_golden():
+    assert residue_outcomes() == RESIDUE_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     FIBER_GOLDEN.write_text(fiber_outcomes())
     ROOT_GOLDEN.write_text(root_outcomes())
     PADIC_GOLDEN.write_text(padic_outcomes())
+    RESIDUE_GOLDEN.write_text(residue_outcomes())

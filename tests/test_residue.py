@@ -1,14 +1,20 @@
 """Residue-field arithmetic and root finding against independent oracles.
 
 Oracles: schoolbook products reduced by the field modulus on plain integer
-tuples, a brute-force root enumerator over every element of F_{p^m} with a
-Frobenius test for the minimal level, and sympy's factorization over F_p."""
+tuples, with long division and Euclid on them, a brute-force root enumerator
+over every element of F_{p^m} with a Frobenius test for the minimal level,
+and sympy's factorization and galoistools over F_p."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys import galoistools as gt
 
 from berkdyn import ExtensionBound
 from berkdyn import residue as rs
@@ -124,6 +130,52 @@ def poly_mul(a, b, p, k):
     return out
 
 
+def poly_trim(a):
+    a = list(a)
+    while a and not any(a[-1]):
+        a.pop()
+    return a
+
+
+def poly_divmod(a, b, p, k):
+    """Long division of coordinate-tuple polynomials over GF(p, k); the
+    leading coefficient of b is inverted as its (Q - 2)-th power."""
+    mod = rs.ResidueField(p, k).modulus
+    a, b = poly_trim(a), poly_trim(b)
+    inv_lead = gf_pow(b[-1], p**k - 2, mod, p)
+    q = [(0,) * k] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = gf_mul(a[-1], inv_lead, mod, p)
+        d = len(a) - len(b)
+        q[d] = c
+        for i, y in enumerate(b):
+            a[i + d] = tuple((s - t) % p for s, t in zip(a[i + d], gf_mul(c, y, mod, p)))
+        a = poly_trim(a)
+    return q, a
+
+
+def poly_gcd(a, b, p, k):
+    mod = rs.ResidueField(p, k).modulus
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b, p, k)[1]
+    if a:
+        c = gf_pow(a[-1], p**k - 2, mod, p)
+        a = [gf_mul(x, c, mod, p) for x in a]
+    return a
+
+
+def poly_powmod(a, n, m, p, k):
+    out = [(1,) + (0,) * (k - 1)]
+    a = poly_divmod(a, m, p, k)[1]
+    while n:
+        if n & 1:
+            out = poly_divmod(poly_mul(out, a, p, k) if out and a else [], m, p, k)[1]
+        a = poly_divmod(poly_mul(a, a, p, k) if a else [], m, p, k)[1]
+        n >>= 1
+    return out
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -136,21 +188,16 @@ FIELDS = [
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_products_match_schoolbook(p, k):
     """Products, inverses, powers and p-th roots against gf_mul, on both
-    product paths: discrete-log tables for extension fields of at most
+    product paths: discrete-log tables for finite fields of at most
     TABLE_LIMIT elements, schoolbook products beyond (here F_(101^3))."""
     rng = random.Random(p * 10 + k)
     field = rs.ResidueField(p, k)
     mod, Q, one = field.modulus, p**k, (1,) + (0,) * (k - 1)
     assert sympy.Poly(list(reversed(mod)), sympy.Symbol("x"), modulus=p).is_irreducible
-    tabled = k > 1 and Q <= rs.TABLE_LIMIT
+    tabled = Q <= rs.TABLE_LIMIT
     assert (field._tables is not None) == tabled
     if (p, k) == (101, 3):
         assert not tabled  # the schoolbook path stays under test
-    if tabled:
-        powers, logs = field._tables
-        nonzero = [x for x in gf_elements(p, k) if any(x)]
-        assert sorted(powers) == sorted(nonzero)  # every one exactly once
-        assert [powers[logs[n]] for n, x in enumerate(gf_elements(p, k)) if any(x)] == nonzero
     for _ in range(200):
         a = tuple(rng.randrange(p) for _ in range(k))
         b = tuple(rng.randrange(p) for _ in range(k))
@@ -170,6 +217,116 @@ def test_products_match_schoolbook(p, k):
         assert gf_mul(a, inv, mod, p) == one
         n = rng.randrange(1, 3 * Q)
         assert (x**-n).value == gf_pow(inv, n, mod, p)
+
+
+@pytest.mark.parametrize("p,k", [f for f in FIELDS if f[0] ** f[1] <= rs.TABLE_LIMIT])
+def test_log_and_zech_tables_match_tuple_arithmetic(p, k):
+    """Every table by brute force on coordinate tuples: powers[j] = g^j runs
+    once through the nonzero elements, by products with g; logs inverts it
+    at each elements() position, with logs[0] = Q - 1, the code of zero and
+    the position of the zero tuple in powers; zech[j] is the log of g^j + 1."""
+    mod, Q = rs.ResidueField(p, k).modulus, p**k
+    powers, logs, zech = rs._log_tables(p, k)
+    n, zero, one = Q - 1, (0,) * k, (1,) + (0,) * (k - 1)
+    elements = list(gf_elements(p, k))
+    assert len(powers) == Q and len(logs) == Q and len(zech) == n
+    assert powers[0] == one and powers[n] == zero
+    assert sorted(powers[:n]) == sorted(x for x in elements if x != zero)
+    g = powers[1 % n]
+    assert all(gf_mul(powers[j], g, mod, p) == powers[(j + 1) % n] for j in range(n))
+    assert [powers[logs[i]] for i in range(Q)] == elements
+    for j in range(n):
+        plus_one = tuple((a + b) % p for a, b in zip(powers[j], one))
+        assert powers[zech[j]] == plus_one
+
+
+TABLES_AT_FIRST_USE = """
+import re, sys
+from pathlib import Path
+from berkdyn import residue as rs
+from berkdyn.fields import parse_backend
+
+specs = set(re.findall(r"\\b(?:padic|laurentq|laurentfp)(?::[a-z0-9=,]+)?", Path(sys.argv[1]).read_text()))
+assert {"padic:p=3", "laurentq:prec=40", "laurentfp:p=2,k=1"} <= specs, specs
+for spec in sorted(specs):
+    parse_backend(spec).residue_field()
+fields = [rs.ResidueField(p, 1) for p in (3, 7, 101)]
+assert rs._log_tables.cache_info().currsize == 0, rs._log_tables.cache_info()
+rs.rpoly_mul([fields[1].one()], [fields[1].one()], fields[1])
+assert rs._log_tables.cache_info().currsize == 1, rs._log_tables.cache_info()
+"""
+
+
+def test_tables_are_built_at_first_use_not_with_the_field():
+    """Setup stays cheap: in a fresh interpreter, parsing the README's
+    backend specs and building GF(3), GF(7) and GF(101) builds no log or Zech
+    table; GF(7)'s comes with its first polynomial product."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-c", TABLES_AT_FIRST_USE, str(root / "README.md")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def _operands(rng, p, k, n):
+    """n random (a, b, m, e): a possibly zero and untrimmed, b nonzero, m of
+    degree >= 1, exponents up to twice the field size."""
+    for _ in range(n):
+        a = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(rng.randint(0, 7))]
+        b = random_poly(rng, p, k, rng.randint(0, 5))
+        m = random_poly(rng, p, k, rng.randint(1, 5))
+        if rng.random() < 0.3:  # a common factor for the gcd
+            a, b = poly_mul(poly_trim(a) or [(1,) + (0,) * (k - 1)], m, p, k), poly_mul(b, m, p, k)
+        yield a, b, m, rng.randrange(2 * p**k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 101])
+def test_prime_field_polynomials_match_galoistools(p):
+    """rpoly_mul, rpoly_divmod, rpoly_gcd and rpoly_powmod over F_p against
+    sympy's galoistools (descending integer lists)."""
+    K = sympy.ZZ
+    field = rs.ResidueField(p)
+
+    def ours(poly):
+        return [c.value[0] for c in poly]
+
+    def theirs(c):
+        return [int(x) for x in reversed(c)]
+
+    def dense(a):
+        return gt.gf_strip([t[0] for t in reversed(a)])
+
+    def el(a):
+        return [rs.ResidueElement(field, t) for t in a]
+
+    for a, b, m, e in _operands(random.Random(900 + p), p, 1, 60):
+        A, B, M = dense(a), dense(b), dense(m)
+        assert ours(rs.rpoly_mul(el(a), el(b), field)) == theirs(gt.gf_mul(A, B, p, K))
+        q, r = rs.rpoly_divmod(el(a), el(b), field)
+        assert (ours(q), ours(r)) == tuple(theirs(x) for x in gt.gf_div(A, B, p, K))
+        assert ours(rs.rpoly_gcd(el(a), el(b), field)) == theirs(gt.gf_gcd(A, B, p, K))
+        assert ours(rs.rpoly_powmod(el(a), e, el(m), field)) == theirs(gt.gf_pow_mod(A, e, M, p, K))
+
+
+@pytest.mark.parametrize("p,k", [f for f in FIELDS if f[1] > 1])
+def test_extension_field_polynomials_match_tuple_arithmetic(p, k):
+    """The same four operations over GF(p, k) against long division and
+    Euclid on coordinate tuples with gf_mul: through the tables up to
+    TABLE_LIMIT elements, on ResidueElements beyond (F_(101^3))."""
+    field = rs.ResidueField(p, k)
+
+    def ours(poly):
+        return [c.value for c in poly]
+
+    def el(a):
+        return [rs.ResidueElement(field, t) for t in a]
+
+    for a, b, m, e in _operands(random.Random(100 * p + k), p, k, 25):
+        a_t = poly_trim(a)
+        assert ours(rs.rpoly_mul(el(a), el(b), field)) == (poly_mul(a_t, b, p, k) if a_t else [])
+        assert tuple(map(ours, rs.rpoly_divmod(el(a), el(b), field))) == poly_divmod(a, b, p, k)
+        assert ours(rs.rpoly_gcd(el(a), el(b), field)) == poly_gcd(a, b, p, k)
+        assert ours(rs.rpoly_powmod(el(a), e, el(m), field)) == poly_powmod(a, e, m, p, k)
 
 
 @pytest.mark.parametrize("p,k,m", [(2, 2, 4), (2, 4, 8), (3, 2, 4), (5, 2, 4), (7, 2, 4)])

@@ -319,6 +319,21 @@ class TestTowerBound:
         assert len(got) == 2
         assert all(r.prec >= 20 for r, _ in got), [r.prec for r, _ in got]
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: an iterate known only below prec is never truncated, and "
+        "its precision ledger decays through the Newton steps to 77/4",
+    )
+    @pytest.mark.parametrize("prec", [None, 40])
+    def test_inexact_quartic_roots_keep_what_the_data_fixes(self, prec):
+        # above 109/4 both roots can be given to the 109/4 that 2 + O(2^30)
+        # fixes; the branch that ends in Newton steps returns -2^(1/4) at 77/4
+        two = FieldElement(B2, {(0, 1): F(2)}, F(30))
+        P = [-two, B2.zero(), B2.zero(), B2.zero(), B2.one()]
+        got = roots_with_mult(P, prec=prec, partial=True)
+        assert [r.prec for r, _ in got] == [F(109, 4)] * 2
+
 
 class TestNewtonStart:
     """Newton refinement starts from the Taylor head that the descent node
