@@ -26,7 +26,7 @@ from .equilibrium import (
     periodic_solution_measure,
     theorem_e_detect,
 )
-from .errors import BerkdynError, Inconclusive, Mismatch
+from .errors import BerkdynError, Inconclusive
 from .fields import INF, parse_backend
 from .measures import AtomicMeasure
 from .ratmap import RationalMap
@@ -57,11 +57,12 @@ def emit(report, out=None):
 
 def _backend(args):
     override = os.environ.get("BERK_PRECISION")
-    precision = int(override) if override else None
     try:
+        precision = int(override) if override else None
         return parse_backend(args.backend, precision=precision)
     except (ValueError, KeyError) as e:
-        raise UsageError(f"bad backend spec {args.backend!r}: {e}")
+        env = f" with BERK_PRECISION={override}" if override else ""
+        raise UsageError(f"bad backend spec {args.backend!r}{env}: {e}")
 
 
 def _consts(args):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .berkovich import BerkPoint, hyperbolic_distance, join
+from .berkovich import BerkPoint, hyperbolic_distance, join, order_leq
 from .errors import ExtensionBound, Inconclusive, ParamDomain, PrecisionExhausted
 from .measures import AtomicMeasure, pullback, pushforward
 from . import polys
@@ -272,8 +272,6 @@ def _extrapolate_chain(chain):
 
 
 def _comparable(a, b):
-    from .berkovich import order_leq
-
     return order_leq(a, b) or order_leq(b, a)
 
 

@@ -48,7 +48,7 @@ DEFAULT_KMAX = 4
 class Backend:
     """Descriptor of a valued-field backend."""
 
-    def __init__(self, kind, p=None, k=1, precision=DEFAULT_PRECISION, k_max=DEFAULT_KMAX):
+    def __init__(self, kind, p=None, k=1, precision=DEFAULT_PRECISION):
         if kind not in (PADIC, EQUICHAR0, EQUICHARP):
             raise ValueError(f"unknown backend kind {kind!r}")
         if kind in (PADIC, EQUICHARP):
@@ -64,7 +64,7 @@ class Backend:
         self.p = p
         self.k = k
         self.precision = precision
-        self.k_max = k_max
+        self.k_max = DEFAULT_KMAX
 
     # residue characteristic: p for PADIC/EQUICHARP, 0 for EQUICHAR0
     @property
@@ -154,8 +154,8 @@ _SPEC_KEYS = {"padic": {"p", "prec"}, "laurentq": {"prec"}, "laurentfp": {"p", "
 
 
 def parse_backend(spec: str, precision=None) -> Backend:
-    """Parse a backend spec string like "padic:p=3,prec=40".  A key the
-    backend does not take is a ValueError."""
+    """Parse a backend spec string like "padic:p=3,prec=40"; `precision`, if
+    given, overrides prec=.  A key the backend does not take is a ValueError."""
     name, _, rest = spec.partition(":")
     if name not in _SPEC_KEYS:
         raise ValueError(f"unknown backend spec {spec!r}")
@@ -167,7 +167,7 @@ def parse_backend(spec: str, precision=None) -> Backend:
     extra = set(opts) - _SPEC_KEYS[name]
     if extra:
         raise ValueError(f"{name} takes no key {', '.join(sorted(extra))}")
-    prec = precision or opts.get("prec", DEFAULT_PRECISION)
+    prec = opts.get("prec", DEFAULT_PRECISION) if precision is None else precision
     if name == "padic":
         return Backend(PADIC, p=opts["p"], precision=prec)
     if name == "laurentq":

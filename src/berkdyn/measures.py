@@ -18,7 +18,6 @@ from .berkovich import (
     gromov_product,
     hyperbolic_distance,
     join,
-    median,
     order_leq,
 )
 from .errors import NonzeroMass, TypeIAtom

@@ -13,10 +13,9 @@ degree.
 Fibers of type-II points zeta(b, u) are found by a breadth-first digit
 descent on R - b.  Each node z works on one recentred pair (A_z, Q_z), with
 A_z = P_z - b*Q_z (P_z itself when b is exactly 0), and follows the roots of
-G = A_z*Q_z, which is (num - b*den)*den recentred at z.  Its digit step,
-`roots.digit_children`, is that of the depth-first root descent; the two
-differ only in order, budget, and in what they do with a branch whose digit
-cannot be lifted, which is skipped here.  The candidate radii at z are the t
+G = A_z*Q_z, which is (num - b*den)*den recentred at z.  It runs on
+`roots.Descent`, the driver of the root descent too, which owns the digit
+step and the skipped branches.  The candidate radii at z are the t
 with psi(t) = S_t(A_z) - S_t(Q_z) = u, solved on the lower hulls of the two
 coefficient-valuation sets.  With exact coefficients a radius strictly
 inside a linear piece of psi is a fiber point of multiplicity |psi'(t)|, with
@@ -43,7 +42,6 @@ partial=True, instead of exhausting the precision budget.
 from __future__ import annotations
 
 import re
-from collections import deque
 from fractions import Fraction
 
 from .errors import (
@@ -57,9 +55,9 @@ from .fields import Backend, EQUICHARP, FieldElement, INF, PADIC
 from . import polys
 from . import residue as rs
 from .roots import (
+    Descent,
     ball_residue_poly,
     common_residue_field,
-    digit_children,
     leading_term,
     lift_residue,
     roots_with_mult,
@@ -345,17 +343,11 @@ class RationalMap:
         # centres and the queued centres are
         exact = all(c.is_exact for c in self.num + self.den)
         hi = Fraction(bk.precision)
-        lo_cap = -Fraction(bk.precision)
         # breadth-first: fiber components on sibling branches are found (and
         # the total-multiplicity break taken) before any single branch chases
         # a type-I root through many digits
-        queue = deque([(bk.zero(), -INF)])
-        steps = 0
-        while queue:
-            z, depth = queue.popleft()
-            steps += 1
-            if steps > _MAX_CENTER_STEPS:
-                raise PrecisionExhausted("fiber descent exceeded its budget")
+        descent = Descent(bk, self.degree)
+        for z, depth, _ in descent.walk(_MAX_CENTER_STEPS, "fiber descent exceeded its budget"):
             P_z, Q_z = self._recentered(z)
             A_z = P_z if polys.is_exact_zero(b) else polys.sub(P_z, polys.scale(Q_z, b))
             if depth != -INF:
@@ -368,7 +360,7 @@ class RationalMap:
             # was: perfbench's equilibrium-chain, whose fibers end at their
             # first node, traces polys.mul as one of the layers it exercises
             G = polys.mul(polys.trim(A_z) or [bk.one()], Q_z)
-            lo = depth if depth != -INF else lo_cap
+            lo = depth if depth != -INF else -hi
             # R(B(z, t)) = zeta(b, u) makes the seminorm of R - b on the ball,
             # S_t(A_z) - S_t(Q_z), equal to u, poles or not
             for t, slope in polys.solve_seminorm_ratio(A_z, Q_z, u, lo, hi):
@@ -384,34 +376,24 @@ class RationalMap:
                     found[cand] = self.local_degree(cand)
             if sum(found.values()) >= self.degree:
                 break
-            if depth != -INF and depth >= hi:
+            if depth >= hi:
                 continue
-            segs = polys.newton_polygon(G)
-            blocked = None
-            for item in digit_children(G, segs, depth, bk):
-                if isinstance(item, ExtensionBound) or item[0] is blocked:
-                    continue  # that branch's fiber points are unrepresentable
-                seg, digit, v, _mu = item
-                try:
-                    child = z + digit
-                except ExtensionBound:
-                    # laurentfp: the digit's and the center's residue fields
-                    # exceed k_max together; skip the segment's other digits
-                    blocked = seg
-                    continue
-                if child.prec is not None:
+
+            def prune(segs, seg, digit, centre):
+                if centre.prec is not None:
                     # the center needs more digits than the precision budget
                     # tracks; any deeper fiber point is out of reach
                     if partial:
-                        continue
+                        return True
                     raise PrecisionExhausted("fiber center exhausted the precision budget")
-                if (
+                # a certified wild chain: its fiber points are unrepresentable
+                return (
                     seg is segs[0]
                     and bk.kind == PADIC
                     and _wild_chain_misses(G, segs, digit, A_z, Q_z, u, bk.p)
-                ):
-                    continue  # its fiber points are unrepresentable
-                queue.append((child, v))
+                )
+
+            descent.expand(z, depth, G, prune)
         return list(found.items())
 
     def _disc_misses(self, A_z, Q_z, depth, u) -> bool:

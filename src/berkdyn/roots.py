@@ -1,22 +1,19 @@
 """Root finding for polynomials over the valued-field backends.
 
-The workhorse is Newton-polygon digit descent.  Its step, `digit_children`, is
-shared with ratmap's type-II fiber descent: each polygon segment of
-G = F(z + h) gives the valuation of a batch of roots, and the lifted roots of
-its residue polynomial give their next digits.  The two descents differ only
-in order (depth-first here, breadth-first for fibers), budget, and what they
-do with an unliftable branch: raise ExtensionBound here unless partial, skip
-it for fibers.  A root that separates is refined by Newton/Hensel steps.  A
-descent that finds deg F simple roots proves F squarefree.  Over PADIC and
-laurentq a degree bound on exponent denominators prunes branches that hold no
-root in the tower, so a descent that cannot split F raises ExtensionBound,
-which is final.  Otherwise multiplicities come from the gcd recursion
-F -> gcd(F, F'), which is characteristic-safe."""
+The workhorse is Newton-polygon digit descent, run by `Descent`, which
+ratmap's type-II fiber search shares.  A root that separates is refined by
+Newton/Hensel steps.  A descent that finds deg F simple roots proves F
+squarefree.  Over PADIC and laurentq a degree bound on exponent
+denominators prunes branches that hold no root in the tower, so a descent
+that cannot split F raises ExtensionBound, which is final.  Otherwise
+multiplicities come from the gcd recursion F -> gcd(F, F'), which is
+characteristic-safe."""
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, isqrt, lcm
 
 from .errors import ExtensionBound, PrecisionExhausted
 from .fields import (
@@ -26,6 +23,7 @@ from .fields import (
     INF,
     PADIC,
     UnsplitRoots,
+    _vp,
     residue_roots,
 )
 from . import polys
@@ -78,7 +76,6 @@ def ball_residue_poly(C, v, level):
     """Residue polynomial of C along the ball of log-radius v (centered where
     C was recentered): coefficient i reduces C_i * pi^(i*v - level), where
     level is the seminorm S_v(C) that the caller has computed."""
-    C = list(C)
     if level == INF:
         return []
     res = []
@@ -161,11 +158,57 @@ def digit_children(G, segs, depth, bk: Backend):
             yield seg, digit, v, mu
 
 
-def _taylor_head(F, z):
-    """Constant and linear coefficients of F(z + h)."""
-    rem, quot = polys._synth_div(F, z)
-    c1, _ = polys._synth_div(quot, z)
-    return rem, c1
+class Descent:
+    """The digit descent of `squarefree_roots` and of
+    `RationalMap._preimages_type2`, over nodes (centre z, digit depth
+    reached, residue multiplicity).  `walk` yields them depth-first (roots)
+    or breadth-first (fibers) within a step budget; the caller's node rule
+    decides what a node records and whether `expand` takes its digit step,
+    `digit_children`.  A child is skipped when its segment or digit cannot
+    be lifted, when its centre's residue fields exceed k_max (laurentfp;
+    with the rest of its segment), or when the caller prunes it.  A strict
+    descent (roots without partial) raises instead, also at a node without
+    children."""
+
+    def __init__(self, bk: Backend, mult, depth_first=False):
+        self.nodes = deque([(bk.zero(), -INF, mult)])
+        self._pop = self.nodes.pop if depth_first else self.nodes.popleft
+
+    def walk(self, budget, message):
+        steps = 0
+        while self.nodes:
+            steps += 1
+            if steps > budget:
+                raise PrecisionExhausted(message)
+            yield self._pop()
+
+    def expand(self, z, depth, G, prune=None, strict=False):
+        """Queue (z + digit, v, mu) for each child of the node (z, depth),
+        G = F(z + h), unless its branch is skipped: a true prune(segs, seg,
+        digit, centre) skips the child, and is what a strict descent raises."""
+        segs = polys.newton_polygon(G)
+        blocked = None
+        before = len(self.nodes)
+        for child in digit_children(G, segs, depth, z.backend):
+            if not isinstance(child, ExtensionBound):
+                seg, digit, v, mu = child
+                if seg is blocked:
+                    continue
+                try:
+                    centre = z + digit
+                except ExtensionBound as e:
+                    # laurentfp: the digit's and the centre's residue fields
+                    # exceed k_max together; skip the segment's other digits
+                    blocked, child = seg, e
+                else:
+                    child = prune(segs, seg, digit, centre) if prune else None
+                    if not child:
+                        self.nodes.append((centre, v, mu))
+                        continue
+            if strict:
+                raise child
+        if strict and len(self.nodes) == before:
+            raise PrecisionExhausted("no further digits found for a root")
 
 
 def squarefree_roots(F, prec, partial=False):
@@ -219,21 +262,26 @@ def squarefree_roots(F, prec, partial=False):
         # one exact division; Newton steps on truncated iterates would only
         # reach it when its expansion ends below prec
         return [-F[0] / F[1]]
-    roots = []
-    # e0 of the tower bound (docstring); None where the bound does not hold
-    e0 = None
+    prune = None
     if bk.kind != EQUICHARP and all(c.is_exact for c in F):
+        # the tower bound (docstring), where it holds
         e0 = lcm(*(e for c in F for _, e in c.terms))
-    # work items: (approximation z, digit depth reached, residue multiplicity)
-    stack = [(bk.zero(), -INF, d)]
-    steps = 0
-    while stack:
-        z, depth, mult = stack.pop()
-        steps += 1
-        if steps > _MAX_DESCENT_STEPS:
-            raise PrecisionExhausted("root descent exceeded its step budget")
+
+        def prune(segs, seg, digit, centre):
+            E = lcm(*(e for _, e in centre.terms))
+            if E // gcd(E, e0) > d:
+                return ExtensionBound(
+                    f"no root in the tower: a digit needs exponent denominator "
+                    f"E={E} > n*gcd(E, e0) with e0={e0}, n={d}"
+                )
+
+    roots = []
+    descent = Descent(bk, d, depth_first=True)
+    for z, depth, mult in descent.walk(_MAX_DESCENT_STEPS, "root descent exceeded its step budget"):
         try:
-            _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0)
+            G = _descend_node(F, z, depth, mult, prec, roots)
+            if G is not None:
+                descent.expand(z, depth, G, prune, strict=not partial)
         except PrecisionExhausted:
             # phantom branches (roots outside the representable field) can
             # run out of digits; in partial mode they are simply dropped
@@ -242,9 +290,10 @@ def squarefree_roots(F, prec, partial=False):
     return roots
 
 
-def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
-    """Process one node of the digit-descent tree: record an exact or
-    precise-enough root, or push one more digit of every branch."""
+def _descend_node(F, z, depth, mult, prec, roots):
+    """The node rule of the root descent: record an exact or precise-enough
+    root, and return G = F(z + h) for one more digit of every branch, or
+    None where the node holds no further root."""
     # the first two coefficients of G = F(z + h) decide; c1 is formed only
     # where it is read, and G is recentred in full only for _isolates_root
     # and for the next digit
@@ -258,16 +307,15 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
             roots.append(z)
         else:
             roots.append(_finalize(F, z, min(prec, c0.prec - G[1].valuation())))
-            G = [bk.zero()] + G[1:]  # the other roots: as if z were exact
+            G = [z.backend.zero()] + G[1:]  # the other roots: as if z were exact
         if mult == 1:
-            return
+            return None
         # the cluster holds further roots beyond this one; descend
-        mult -= 1
     else:
         if depth >= prec:
             if mult == 1:
                 roots.append(_finalize(F, z, prec))
-                return
+                return None
             raise PrecisionExhausted(
                 "distinct roots closer together than the requested precision"
             )
@@ -275,28 +323,9 @@ def _descend_node(F, z, depth, mult, prec, partial, bk, roots, stack, e0):
             c1 = polys._synth_div(quot, z)[0]
             if not c1.is_zero_to_precision() and c0.valuation() > 2 * c1.valuation_lower_bound():
                 roots.append(_newton_refine(F, z, prec, c0, c1))
-                return
+                return None
     # one more digit: polygon of F(z + h), segments deeper than `depth`
-    if G is None:
-        G = polys.recenter(F, z)
-    progressed = skipped = False
-    for child in digit_children(G, polys.newton_polygon(G), depth, bk):
-        if not isinstance(child, ExtensionBound):
-            _, digit, v, mu = child
-            E = lcm(v.denominator, *(e for _, e in z.terms))
-            if e0 is None or E // gcd(E, e0) <= len(F) - 1:
-                stack.append((z + digit, v, mu))
-                progressed = True
-                continue
-            child = ExtensionBound(
-                f"no root in the tower: a digit needs exponent denominator "
-                f"E={E} > n*gcd(E, e0) with e0={e0}, n={len(F) - 1}"
-            )
-        if not partial:
-            raise child
-        skipped = True
-    if not progressed and not skipped:
-        raise PrecisionExhausted("no further digits found for a root")
+    return polys.recenter(F, z) if G is None else G
 
 
 def _isolates_root(G) -> bool:
@@ -314,14 +343,8 @@ def _isolates_root(G) -> bool:
     )
 
 
-def _mark_approx(z: FieldElement, prec: Fraction) -> FieldElement:
-    return z.truncate_below(prec)._with_prec(prec)
-
-
 def _ratrec(w: int, M: int):
     """Rational reconstruction: a/b with small |a|, b and a = w*b mod M."""
-    from math import gcd, isqrt
-
     bound = isqrt(M // 2)
     r0, r1 = M, w % M
     t0, t1 = 0, 1
@@ -339,19 +362,13 @@ def _ratrec(w: int, M: int):
 def _promote_exact(F, approx: FieldElement):
     """Try to recognize a digit-truncated root as an exact element (small
     rationals in each tower slot), verifying by exact evaluation."""
-    import math as _math
-
     bk = approx.backend
-    if approx.prec is None:
-        return approx
     cand_terms = {}
     if bk.kind == PADIC:
-        from .fields import _vp
-
         for (i, e), r in approx.terms.items():
             off = Fraction(i, e)
             a = _vp(r, bk.p)
-            m = _math.floor(approx.prec - off - a)
+            m = floor(approx.prec - off - a)
             if m <= 1:
                 cand_terms[(i, e)] = r
                 continue
@@ -372,7 +389,7 @@ def _promote_exact(F, approx: FieldElement):
 
 
 def _finalize(F, z: FieldElement, prec: Fraction) -> FieldElement:
-    marked = _mark_approx(z, prec)
+    marked = z.truncate_below(prec)._with_prec(prec)
     exact = _promote_exact(F, marked)
     return exact if exact is not None else marked
 
@@ -406,7 +423,8 @@ def _newton_refine(F, z, prec, c0, c1):
             z = z - _known_to(c0, prec + v1) / _known_to(c1, prec - w + v1)
         if z.is_exact or z.prec >= prec:
             z = z.truncate_below(prec)
-        c0, c1 = _taylor_head(F, z)
+        c0, quot = polys._synth_div(F, z)
+        c1 = polys._synth_div(quot, z)[0]
     raise PrecisionExhausted("Newton refinement did not reach target precision")
 
 

@@ -305,3 +305,14 @@ class TestErrorsAndDeterminism:
         )
         assert code == 0
         assert json.loads(out)["image"]["logr"] == "2"
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_precision_env_exit_2(self, capsys, monkeypatch, value):
+        # not an integer, or not >= 1: refused like the spec's prec=0, not
+        # raised as a traceback or silently replaced by the spec's precision
+        monkeypatch.setenv("BERK_PRECISION", value)
+        code = main(
+            ["image", "--backend", "padic:p=3", "--map", "z", "--point", "can"]
+        )
+        assert code == 2
+        assert "BERK_PRECISION" in capsys.readouterr().err

@@ -10,9 +10,12 @@ One more file pins the outcome of 200 type-II fibers over padic:p=3
 (`fiber_outcomes`): points, multiplicities and their order, or the typed
 error and its message.  Another pins the roots of 40 split products over
 laurentfp (`root_outcomes`), in the order the residue-field split finds
-them.  Others pin PADIC arithmetic (`padic_outcomes`) and the residue-field
-root search itself (`residue_outcomes`).  Re-record them with
-`python tests/test_golden.py` only when an outcome is meant to change.
+them.  Another pins type-I fibers over padic:p=3, padic:p=2 and laurentq
+(`typei_root_outcomes`), strict and partial, in the order the depth-first
+root descent finds them.  Others pin PADIC arithmetic (`padic_outcomes`)
+and the residue-field root search itself (`residue_outcomes`).  Re-record
+them with `python tests/test_golden.py` only when an outcome is meant to
+change.
 """
 
 import random
@@ -23,7 +26,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from berkdyn import Backend, BerkdynError, EQUICHARP, PADIC, polys
+from berkdyn import Backend, BerkdynError, EQUICHAR0, EQUICHARP, PADIC, polys
 from berkdyn import residue as rs
 from berkdyn.berkovich import BerkPoint
 from berkdyn.fields import FieldElement, UnsplitRoots, residue_roots
@@ -233,6 +236,48 @@ def test_root_outcomes_match_golden():
     assert root_outcomes() == ROOT_GOLDEN.read_text()
 
 
+TYPEI_GOLDEN = GOLDEN / "roots-criterion06.out"
+
+
+def typei_root_outcomes():
+    """Two lines per type-I fiber, strict and with partial=True: the roots of
+    num - x*den for 60 criterion-06 maps per backend over padic:p=3,
+    padic:p=2 and laurentq, drawn from seed 2001, at targets x = n or n/3.
+    Among them are tower-bound and unliftable-digit ExtensionBounds,
+    Newton-refined inexact roots and partial-mode drops."""
+    rng = random.Random(2001)
+    lines = []
+    for bk in (Backend(PADIC, p=3), Backend(PADIC, p=2), Backend(EQUICHAR0)):
+        drawn = 0
+        while drawn < 60:
+            num = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            den = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+            if not any(num) or not any(den):
+                continue
+            if RationalMap.from_rationals(bk, num, den).degree < 1:
+                continue
+            drawn += 1
+            x = F(rng.randint(-6, 6), rng.choice([1, 3]))
+            width = max(len(num), len(den))
+            A = [(num[i] if i < len(num) else 0) - x * (den[i] if i < len(den) else 0)
+                 for i in range(width)]
+            if not any(A):
+                continue
+            for partial in (False, True):
+                head = f"{bk!r} {[str(c) for c in A]} partial={partial}: "
+                try:
+                    found = roots_with_mult(polys.from_rationals(bk, A), partial=partial)
+                except BerkdynError as exc:
+                    lines.append(head + f"{type(exc).__name__}: {exc}")
+                    continue
+                lines.append(head + "; ".join(f"{r!r} x{m}" for r, m in found))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_typei_root_outcomes_match_golden():
+    assert typei_root_outcomes() == TYPEI_GOLDEN.read_text()
+
+
 PADIC_GOLDEN = GOLDEN / "padic-arith.out"
 
 
@@ -392,5 +437,6 @@ def test_residue_outcomes_match_golden():
 if __name__ == "__main__":
     FIBER_GOLDEN.write_text(fiber_outcomes())
     ROOT_GOLDEN.write_text(root_outcomes())
+    TYPEI_GOLDEN.write_text(typei_root_outcomes())
     PADIC_GOLDEN.write_text(padic_outcomes())
     RESIDUE_GOLDEN.write_text(residue_outcomes())

@@ -324,6 +324,19 @@ class TestPreimages:
             (p.value.as_rational(), p.logr, m) for p, m in pre
         ) == [(F(1), F(2), 1), (F(3), F(2), 1)]
 
+    def test_fiber_step_budget(self, monkeypatch):
+        # the fiber of z^3 - z over zeta(0, 3) takes five descent nodes; the
+        # budget also bounds the image-centre digits of its two image tests,
+        # which need fewer than four
+        R = RationalMap.parse("z^3-z", B3)
+        T = BerkPoint.type_ii(B3.zero(), 3)
+        assert [(S.value.as_rational(), S.logr, m) for S, m in R.preimages(T)] == [
+            (F(0), F(3), 1), (F(1), F(3), 1), (F(26), F(3), 1)]
+        monkeypatch.setattr(ratmap, "_MAX_CENTER_STEPS", 4)
+        with pytest.raises(PrecisionExhausted) as err:
+            R.preimages(T)
+        assert str(err.value) == "fiber descent exceeded its budget"
+
     def test_type2_fiber_through_branch_point(self):
         pre = RationalMap.parse("z^2", B2).preimages(BerkPoint.type_ii(B2.zero(), 2))
         assert pre == [(BerkPoint.type_ii(B2.zero(), 1), 2)]

@@ -445,6 +445,17 @@ class TestApproximateRoots:
             (F(33), 1),
         ]
 
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_step_budget(self, monkeypatch, partial):
+        # four roots congruent to 1 mod 3 take five descent nodes; the budget
+        # is checked outside the per-node catch, so partial mode raises too
+        P = poly_from_roots(B3, [(1, 1), (4, 1), (7, 1), (10, 1)])
+        assert sorted(r.as_rational() for r, _ in roots_with_mult(P)) == [1, 4, 7, 10]
+        monkeypatch.setattr(rt, "_MAX_DESCENT_STEPS", 4)
+        with pytest.raises(PrecisionExhausted) as err:
+            roots_with_mult(P, partial=partial)
+        assert str(err.value) == "root descent exceeded its step budget"
+
 
 BF7 = Backend(EQUICHARP, p=7)
 # pairs of irreducible quartics over F_7
@@ -732,6 +743,68 @@ class TestDigitChildren:
         segs = polys.newton_polygon(self.G)
         (seg, *_), _ = rt.digit_children(self.G, segs, -math.inf, B3)
         assert seg is segs[0]
+
+
+def expand_root(bk, G, depth=-math.inf, z=None, **kw):
+    """The nodes that Descent.expand queues below its first node."""
+    descent = rt.Descent(bk, polys.degree(G))
+    root, _, _ = next(descent.walk(1, "unused"))
+    descent.expand(root if z is None else z, depth, G, **kw)
+    return list(descent.nodes)
+
+
+class TestDescent:
+    """The driver of the root and fiber descents: node order, budget, and its
+    one rule for a skipped branch (skip it, or raise it when strict), on
+    TestDigitChildren's G unless stated."""
+
+    G = TestDigitChildren.G
+
+    @pytest.mark.parametrize("depth_first,order", [(False, [0, 1]), (True, [2, 1])])
+    def test_order_and_budget(self, depth_first, order):
+        descent = rt.Descent(B3, 1, depth_first=depth_first)
+        descent.nodes.extend([(B3.from_int(1), 0, 1), (B3.from_int(2), 0, 1)])
+        walked = []
+        with pytest.raises(PrecisionExhausted, match="^over budget$"):
+            for z, _, _ in descent.walk(2, "over budget"):
+                walked.append(z.as_rational())
+        assert walked == order
+
+    def test_unliftable_branch(self):
+        assert expand_root(B3, self.G) == [(B3.from_int(3), 1, 1)]
+        with pytest.raises(ExtensionBound, match="not liftable"):
+            expand_root(B3, self.G, strict=True)
+
+    def test_pruned_branch(self):
+        reason = ExtensionBound("pruned")
+
+        def prune(segs, seg, digit, centre):
+            assert seg is segs[0] and centre == digit == B3.from_int(3)
+            return reason
+
+        assert expand_root(B3, self.G, prune=prune) == []
+        with pytest.raises(ExtensionBound, match="^pruned$"):
+            expand_root(B3, self.G, prune=prune, strict=True)
+
+    def test_node_without_children(self):
+        assert expand_root(B3, self.G, depth=F(1)) == []
+        with pytest.raises(PrecisionExhausted, match="no further digits found for a root"):
+            expand_root(B3, self.G, depth=F(1), strict=True)
+
+    def test_centre_beyond_k_max_skips_its_segment(self, monkeypatch):
+        # laurentfp: a centre in F_8 plus a digit in F_4 needs F_64, beyond
+        # k_max = 4; the segment's next digit, in F_8, is skipped with it
+        f4, f8 = rs.ResidueField(2, 2), rs.ResidueField(2, 3)
+        z = BF2.from_term(F(0), rs.ResidueElement(f8, (0, 1, 0)))
+        in_f4 = BF2.from_term(F(1), rs.ResidueElement(f4, (0, 1)))
+        in_f8 = BF2.from_term(F(1), rs.ResidueElement(f8, (1, 1, 0)))
+        blocked, other = object(), object()
+        children = [(blocked, in_f4, F(1), 1), (blocked, in_f8, F(1), 1), (other, in_f8, F(1), 2)]
+        monkeypatch.setattr(rt, "digit_children", lambda G, segs, depth, bk: iter(children))
+        G = [BF2.one(), BF2.one()]
+        assert expand_root(BF2, G, z=z) == [(z + in_f8, F(1), 2)]
+        with pytest.raises(ExtensionBound, match="exceeds k_max"):
+            expand_root(BF2, G, z=z, strict=True)
 
 
 @pytest.mark.xfail(
