@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InfinityOperand, PrecisionExhausted, TypeIOperand
+from .errors import InfinityOperand, TypeIOperand
 from .fields import Backend, FieldElement, INF
 from . import polys
 
@@ -158,14 +158,11 @@ def seminorm_eval(S: BerkPoint, P) -> Fraction:
 
 
 def _center_dist(S: BerkPoint, T: BerkPoint):
-    """Valuation of the difference of centers/values of two affine points."""
-    diff = S.value - T.value
-    try:
-        return diff.valuation()
-    except PrecisionExhausted:
-        if S._key() == T._key():
-            return INF
-        raise
+    """Valuation of the difference of centers/values of two affine points.
+    It raises PrecisionExhausted only for a type-I value known too roughly:
+    type-II centres are exact, and callers settle equal type-I points
+    before asking."""
+    return (S.value - T.value).valuation()
 
 
 def order_leq(S: BerkPoint, T: BerkPoint) -> bool:
@@ -189,9 +186,8 @@ def join(S: BerkPoint, T: BerkPoint) -> BerkPoint:
         return BerkPoint.infinity(S.backend)
     if S._key() == T._key():
         return S
+    # w is finite: two type-I points at distance INF are equal
     w = min(S.diam_val(), T.diam_val(), _center_dist(S, T))
-    if w == INF:
-        return S
     return BerkPoint.type_ii(S.value, w)
 
 
@@ -250,16 +246,11 @@ def median(S: BerkPoint, T: BerkPoint, U: BerkPoint) -> BerkPoint:
     j1 = join(S, T)
     j2 = join(S, U)
     j3 = join(T, U)
-    # two of the joins coincide and dominate the third; the median is minimal
+    # two joins over a common point are nested, so the three are pairwise
+    # comparable and the least of them passes every test
     for cand in (j1, j2, j3):
         if order_leq(cand, j1) and order_leq(cand, j2) and order_leq(cand, j3):
             return cand
-    # comparable fallbacks (e.g. one input between the others)
-    best = j1
-    for cand in (j2, j3):
-        if order_leq(cand, best):
-            best = cand
-    return best
 
 
 def gromov_product(S: BerkPoint, T: BerkPoint, S0: BerkPoint):

@@ -19,6 +19,9 @@ from .measures import AtomicMeasure, pullback, pushforward
 from . import polys
 from .roots import roots_with_mult
 
+# the least hyperbolic distance between two atoms that counts them as spread
+SPREAD_MARGIN = Fraction(1, 8)
+
 
 class EquilibriumApprox:
     """The chain of normalized pullbacks deg^(-n) (R*)^n [base], kept at all
@@ -203,13 +206,14 @@ def jacobian(R, S: BerkPoint) -> Fraction:
     return Fraction(R.degree, R.local_degree(S))
 
 
-def theorem_e_detect(R, n_max=8, margin=Fraction(1, 8)):
+def theorem_e_detect(R, n_max=8):
     """Semi-decision: does the equilibrium measure collapse to a single
     invariant type-II atom?
 
     True when the pullback chain from the canonical point stabilizes on one
     atom that is totally invariant; False when at least two atoms separated
-    by the margin persist over consecutive levels; Inconclusive otherwise."""
+    by SPREAD_MARGIN persist over consecutive levels; Inconclusive
+    otherwise."""
     if R.degree < 2:
         raise ParamDomain("detection needs degree >= 2")
     base = BerkPoint.canonical(R.backend)
@@ -237,7 +241,7 @@ def theorem_e_detect(R, n_max=8, margin=Fraction(1, 8)):
             for b, _ in (x for x in atoms[i + 1 :])
             if a.is_type_ii and b.is_type_ii
         ]
-        spread = len(atoms) >= 2 and seps and min(seps) >= margin
+        spread = len(atoms) >= 2 and seps and min(seps) >= SPREAD_MARGIN
         if spread and prev_spread:
             return False
         prev_spread = spread

@@ -495,7 +495,9 @@ def _align_res_pair(a, b):
 
 def _proportionality(res_a, res_q):
     """If res_a == d * res_q for a constant residue d, return d, else None;
-    the two lists are over one field (`_align_res_pair`)."""
+    the two lists are over one field (`_align_res_pair`).  Each list is a
+    residue polynomial at its own seminorm level, so each is nonzero: a
+    ratio d is found, and it is nonzero."""
     n = max(len(res_a), len(res_q))
     field = (res_a + res_q)[0].field
     za = list(res_a) + [field.zero()] * (n - len(res_a))
@@ -511,8 +513,6 @@ def _proportionality(res_a, res_q):
             d = ratio
         elif d != ratio:
             return None
-    if d is None or d.is_zero():
-        return None
     return d
 
 
@@ -583,6 +583,11 @@ def _wild_chain_misses(G, segs, a, A_z, Q_z, u, p) -> bool:
     [rho, v], where no root valuation lies.  If Phi(t) = u has no solution in
     [v, L), the subtree of z' holds no representable fiber point, and the
     child is skipped.  An unliftable digit is skipped the same way.
+
+    s != 0.  m_A + m_Q = p, so s = 0 needs p = 2 and m_A = m_Q = 1.  Then
+    A_z has one root alpha in the disc v(h) > rho, and every automorphism
+    over K = Q_p(z, b, coefficients of R) keeps valuations, so fixes alpha:
+    alpha lies in K, a tower field, against the lemma.
     """
     slope, width, i0, _ = segs[0]
     if i0 or width != p or not all(c.is_exact for c in G):
@@ -611,8 +616,6 @@ def _wild_chain_misses(G, segs, a, A_z, Q_z, u, p) -> bool:
     t0 = rho if rho is not None else v - 1
     phi_v = phi(v)
     s = (phi_v - phi(t0)) / (v - t0)
-    if s == 0:
-        return u != phi_v
     return not v <= v + (u - phi_v) / s < L
 
 

@@ -33,11 +33,12 @@ _MAX_DESCENT_STEPS = 500
 
 
 def lift_residue(bk: Backend, theta: rs.ResidueElement) -> FieldElement:
-    """Canonical lift of a residue element to a valuation-0 (or 0) element.
-    The UnsplitRoots mark of residue_roots stands for digits it cannot lift."""
+    """Canonical lift of a residue element to a valuation-0 element.  No
+    caller passes zero: a digit is a root of a segment's residue polynomial,
+    whose constant term is nonzero, and an image-centre step is a nonzero
+    ratio (ratmap._proportionality).  The UnsplitRoots mark of residue_roots
+    stands for digits it cannot lift."""
     if not isinstance(theta, UnsplitRoots):
-        if theta.is_zero():
-            return bk.zero()
         if theta.field.is_rational:
             return bk.from_rational(theta.value)
         if bk.kind != PADIC:
@@ -475,9 +476,9 @@ def _roots_impl(F, prec, partial):
     if bk.kind == EQUICHARP and polys.trim(dF) == []:
         # F(z) = H(z^p): take p-th roots of the roots of H
         H = [F[i] for i in range(0, len(F), bk.p)]
+        # H(0) = F(0) is not an exact zero, so a root of H that is zero
+        # only to working precision is a root of F near the origin
         for r, m in _roots_impl(H, Fraction(prec) * bk.p, partial):
-            if r.is_zero_to_precision():
-                continue  # origin already stripped
             out.append((pth_root_element(r), m * bk.p))
         return out
     # deg F simple roots prove F squarefree; only a descent that finds fewer
@@ -509,11 +510,7 @@ def _roots_impl(F, prec, partial):
             f"has {len(simple)} simple roots, not {polys.degree(F)}"
         )
     simple = [(r, 1) for r in squarefree_roots(S, prec, partial)]
-    repeated = _roots_impl(g, prec, partial)
-    # the origin is handled above
-    return _merge(
-        out + simple + [(r, m) for r, m in repeated if not r.is_zero_to_precision()]
-    )
+    return _merge(out + simple + _roots_impl(g, prec, partial))
 
 
 def _merge(pairs):

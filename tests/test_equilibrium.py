@@ -14,7 +14,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from berkdyn import Backend, EQUICHARP, Inconclusive, PADIC, ParamDomain, PrecisionExhausted
+from berkdyn import (
+    Backend,
+    EQUICHARP,
+    ExtensionBound,
+    Inconclusive,
+    PADIC,
+    ParamDomain,
+    PrecisionExhausted,
+)
 from berkdyn.berkovich import BerkPoint
 from berkdyn.equilibrium import (
     EquilibriumApprox,
@@ -28,6 +36,7 @@ from berkdyn.equilibrium import (
     partition_masses,
     periodic_solution_measure,
     theorem_e_detect,
+    _totally_invariant,
 )
 from berkdyn.fields import FieldElement
 from berkdyn.measures import AtomicMeasure, pushforward
@@ -252,6 +261,19 @@ class TestDetect:
         with pytest.raises(PrecisionExhausted):
             R.preimages(BerkPoint.type_ii(B3.zero(), F(1)))
         with pytest.raises(PrecisionExhausted):
+            theorem_e_detect(R)
+
+    def test_extrapolated_point_with_an_unrepresentable_fiber_is_not_invariant(self):
+        # R = z^2/9 + c, c = 3^(7/4): the chain from the Gauss point is
+        # zeta(0, 1), zeta(0, 3/2), zeta(0, 7/4), whose geometric limit
+        # zeta(0, 2) has a fiber that needs sqrt(-1), outside Q_3.  The ball
+        # B(0, 3^-2) maps onto a ball holding R(0) = c, of valuation
+        # 7/4 < 2, so zeta(0, 2) is not even fixed
+        c = B3.parse_literal("[(7/4,1)]")
+        R = RationalMap.parse("z^2/9 + c", B3, {"c": c})
+        assert c.valuation() < 2
+        assert not _totally_invariant(R, BerkPoint.type_ii(B3.zero(), 2))
+        with pytest.raises(ExtensionBound):
             theorem_e_detect(R)
 
 

@@ -387,6 +387,16 @@ class TestResidueRoots:
         assert all(m == 1 for _, m in roots)
         assert all(r.field.k == 2 for r, _ in roots)
 
+    def test_rational_roots_at_zero(self):
+        # x^2 (x - 1)(2x + 3): the roots at 0 are split off first
+        sympy = pytest.importorskip("sympy")
+        rf = rs.ResidueField(0)
+        x = sympy.symbols("x")
+        expr = x**2 * (x - 1) * (2 * x + 3)
+        coeffs = [rf.from_fraction(F(int(c))) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+        got = {r.value: m for r, m in residue_roots(coeffs)}
+        assert got == {F(str(r)): m for r, m in sympy.roots(expr, x).items()}
+
     def test_rational_no_sqrt2(self):
         rf = rs.ResidueField(0)
         with pytest.raises(ExtensionBound):

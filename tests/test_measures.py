@@ -223,6 +223,20 @@ class TestFiniteTree:
         dot = convex_hull_tree([a, b]).to_dot()
         assert dot.count(" -- ") == 2 and dot.startswith("graph")
 
+    def test_tree_function_off_the_vertices(self):
+        # the edge from zeta(0, 0) down to zeta(0, 2), values 0 and 4: affine
+        # in hyperbolic distance, so 2 at zeta(0, 1) and 1 at zeta(0, 1/2).
+        # zeta(3, 2) leaves the edge at zeta(0, v(3)) = zeta(0, 1), and
+        # zeta(0, -1) lies above its top; each takes its retraction's value
+        top, bottom = BerkPoint.canonical(B3), BerkPoint.type_ii(B3.zero(), 2)
+        tree = convex_hull_tree([top, bottom])
+        phi = TreeFunction(tree, {top: 0, bottom: 4})
+        on = {BerkPoint.type_ii(B3.zero(), F(1)): 2, BerkPoint.type_ii(B3.zero(), F(1, 2)): 1}
+        off = {BerkPoint.type_ii(B3.from_int(3), 2): 2, BerkPoint.type_ii(B3.zero(), -1): 0}
+        for p, value in {**on, **off}.items():
+            assert phi(p) == value
+            assert tree.contains(p) == (p in on)
+
 
 class TestPotential:
     def test_dirac_at_base_is_constant(self):

@@ -23,10 +23,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from berkdyn import (
     Backend,
     DivisionByZero,
+    EQUICHAR0,
     EQUICHARP,
     ExtensionBound,
     INF,
@@ -324,6 +326,27 @@ class TestPreimages:
             (p.value.as_rational(), p.logr, m) for p, m in pre
         ) == [(F(1), F(2), 1), (F(3), F(2), 1)]
 
+    def test_fiber_centre_beyond_the_term_budget(self):
+        # z^2 over laurentq at zeta(b, 2), b = 1 + t^(1/2): the fiber is
+        # zeta(+-c, 2), c the binomial series of b^(1/2) below t^2, whose
+        # four terms 1, t^(1/2)/2, -t/8, t^(3/2)/16 exceed a budget of three
+        def binom_half(k):
+            return math.prod(F(1, 2) - i for i in range(k)) / math.factorial(k)
+
+        def fiber(bk, partial=False):
+            T = BerkPoint.type_ii(bk.parse_literal("[(0,1),(1/2,1)]"), 2)
+            return RationalMap.parse("z^2", bk).preimages(T, partial=partial)
+
+        bk = Backend(EQUICHAR0)
+        c = sum((bk.from_rational(binom_half(k)) * bk.uniformizer_pow(F(k, 2)) for k in range(4)),
+                bk.zero())
+        assert sorted(fiber(bk), key=str) == sorted(
+            [(BerkPoint.type_ii(c, 2), 1), (BerkPoint.type_ii(-c, 2), 1)], key=str)
+        small = Backend(EQUICHAR0, precision=3)
+        with pytest.raises(PrecisionExhausted, match="fiber center exhausted the precision budget"):
+            fiber(small)
+        assert fiber(small, partial=True) == []
+
     def test_fiber_step_budget(self, monkeypatch):
         # the fiber of z^3 - z over zeta(0, 3) takes five descent nodes; the
         # budget also bounds the image-centre digits of its two image tests,
@@ -486,6 +509,18 @@ class TestExceptional:
 
     def test_generic_map_has_none(self):
         assert RationalMap.parse("(z^2+1)/(z+3)", B3).exceptional_points() == []
+
+    def test_fixed_point_of_the_second_iterate_hit_from_infinity(self):
+        # R = z^2/(z^3 + 1): 0 is fixed by R^2, and R^2(infinity) = 0, so
+        # the numerator of R^2 - 0 drops in degree and 0 is not exceptional.
+        # None is: an exceptional point of a cubic map is a point of local
+        # degree 3, and R' = z (2 - z^3)/(z^3 + 1)^2 has only simple zeros,
+        # the poles are simple and R ~ 1/z at infinity
+        z = sympy.symbols("z")
+        num = sympy.numer(sympy.together(sympy.diff(z**2 / (z**3 + 1), z)))
+        assert sympy.gcd(num, sympy.diff(num, z)) == 1
+        assert sympy.gcd(z**3 + 1, 3 * z**2) == 1
+        assert RationalMap.parse("z^2/(z^3+1)", B3).exceptional_points() == []
 
 
 class TestRepeatedQueries:

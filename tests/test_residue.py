@@ -246,7 +246,9 @@ from pathlib import Path
 from berkdyn import residue as rs
 from berkdyn.fields import parse_backend
 
-specs = set(re.findall(r"\\b(?:padic|laurentq|laurentfp)(?::[a-z0-9=,]+)?", Path(sys.argv[1]).read_text()))
+# specs only from the fenced code blocks: prose may name a backend alone
+code = "".join(re.findall(r"^```[^\\n]*\\n(.*?)^```", Path(sys.argv[1]).read_text(), re.M | re.S))
+specs = set(re.findall(r"\\b(?:padic|laurentq|laurentfp)(?::[a-z0-9=,]+)?", code))
 assert {"padic:p=3", "laurentq:prec=40", "laurentfp:p=2,k=1"} <= specs, specs
 for spec in sorted(specs):
     parse_backend(spec).residue_field()

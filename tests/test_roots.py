@@ -515,6 +515,27 @@ class TestCharP:
         for r, _ in got:
             assert r.is_exact and polys.evaluate(P, r).is_zero()
 
+    @pytest.mark.parametrize("bk", [BF2, BF3])
+    def test_pth_power_roots_near_the_origin_are_kept(self, bk):
+        # F(z) = H(z^p) with H(w) = w^2 + t*w + t^101, whose Newton polygon
+        # (0, 101), (1, 1), (2, 0) gives one root of valuation 100 and one of
+        # valuation 1: w2 = -t^100 - t^199 - ..., w1 = -t - w2.  So F has two
+        # p-fold roots, their p-th roots, of valuations 100/p and 1/p.  Over
+        # p = 2 the first, t^50 + ..., is zero to the working precision 40.
+        p = bk.p
+        t = bk.uniformizer_pow
+        P = [t(101)] + [bk.zero()] * (2 * p)
+        P[p], P[2 * p] = t(1), bk.one()
+        if p == 2:
+            expected = [t(F(1, 2)), bk.zero()]
+        else:
+            expected = [-t(F(1, 3)) + t(F(100, 3)), -t(F(100, 3))]
+        for partial in (False, True):
+            got = roots_with_mult(P, partial=partial)
+            assert [m for _, m in got] == [p, p]
+            assert [r.prec for r, _ in got] == [40, 40]
+            assert [FieldElement(bk, r.terms, None) for r, _ in got] == expected
+
     def test_pth_root_element_squares_back(self):
         x = BF3.one() + BF3.from_int(2) * BF3.uniformizer_pow(F(5, 2))
         r = pth_root_element(x)
@@ -914,3 +935,47 @@ class TestLeadingResidue:
             ball_residue_poly(C, F(-1), polys.gauss_valuation(C, F(-1)))
         level = polys.gauss_valuation(C, F(-1, 2))
         assert ball_residue_poly(C, F(-1, 2), level) == [rs.ResidueField(3).one()]
+
+
+# -- branches only these inputs reach -----------------------------------------
+
+
+def _t100_quadratic():
+    """z^2 - t^100 (1 + t) over laurentq: its roots are +-t^50 (1 + t)^(1/2),
+    both of valuation 50, beyond the working precision 40."""
+    return [-(BQ.uniformizer_pow(100) * (BQ.one() + BQ.uniformizer_pow(1))), BQ.zero(), BQ.one()]
+
+
+def test_simple_roots_beyond_the_precision_are_zero_to_it():
+    (r, m), = roots_with_mult(_t100_quadratic())
+    assert m == 2 and r.is_zero_to_precision() and r.prec == 40
+
+
+def test_repeated_roots_beyond_the_precision_are_kept():
+    # the square of the quadratic: two double roots of valuation 50, which
+    # gcd(F, F') finds as the repeated part
+    P = polys.mul(_t100_quadratic(), _t100_quadratic())
+    (r, m), = roots_with_mult(P)
+    assert m == 4 and r.is_zero_to_precision() and r.prec == 40
+
+
+def test_one_digit_roots_are_the_roots_mod_p():
+    # z^2 - 7 to precision 1 over the 3-adics: each root is one digit, a
+    # root of z^2 - 7 modulo 3
+    got = roots_with_mult(polys.from_rationals(B3, [-7, 0, 1]), prec=1)
+    assert all(m == 1 and r.prec == 1 for r, m in got)
+    assert sorted(r.terms[0, 1] for r, _ in got) == [x for x in range(3) if (x * x - 7) % 3 == 0]
+
+
+def test_multiplicity_the_data_do_not_fix_is_precision_exhausted():
+    # z^3 - 3z + 2 = (z - 1)^2 (z + 2), known modulo 4 below its leading
+    # term.  z^3 - 3z + 6 agrees with it there and is squarefree, so the
+    # data fix no multiplicity: the search raises, and under partial it is
+    # gcd(F, F') that finds out
+    P = [c._with_prec(2) for c in polys.from_rationals(B2, [2, -3, 0, 1])[:3]] + [B2.one()]
+    assert dict(sympy.sqf_list(Z**3 - 3 * Z + 2)[1]) == {Z - 1: 2, Z + 2: 1}
+    assert [m for _, m in sympy.sqf_list(Z**3 - 3 * Z + 6)[1]] == [1]
+    with pytest.raises(PrecisionExhausted):
+        roots_with_mult(P)
+    with pytest.raises(PrecisionExhausted, match=r"gcd\(F, F'\) lost precision"):
+        roots_with_mult(P, partial=True)
